@@ -1,5 +1,5 @@
 //! Precision sweep for the multi-precision inference kernels: throughput
-//! and accuracy of the `f32` and `i32` fixed-point biquad SO-LF backends
+//! and accuracy of the `f32` and `i32` fixed-point SO-LF backends
 //! against the `f64` reference.
 //!
 //! ```text

@@ -563,17 +563,17 @@ impl InferModel {
             });
         }
         let mut scratch: Scratch = self.make_scratch(batch)?;
-        self.reset_states(&mut scratch);
+        self.forward(&mut scratch, true, &[], None);
         let mut buf = vec![0.0; step_len];
         for chunk in steps.chunks_exact(step_len) {
             buf.copy_from_slice(chunk);
             guard
                 .sanitize(&mut buf)
                 .expect("buffer sized to the guard above");
-            self.advance(&buf, &mut scratch);
+            self.forward(&mut scratch, false, &buf, None);
         }
         let mut out = vec![0.0; batch * self.spec().classes];
-        self.read_logits(&scratch, &mut out);
+        self.forward(&mut scratch, false, &[], Some(&mut out));
         Ok(out)
     }
 }

@@ -20,7 +20,8 @@
 //! ## The execution modes
 //!
 //! * **Batched** — [`InferModel::run_batch`] processes `B` sequences at
-//!   once with batch-major inner loops (the serving fast path).
+//!   once, every inner loop running over contiguous batch lanes (the
+//!   serving fast path).
 //! * **Streaming** — [`StreamState`] advances one timestep per call for
 //!   online sensor input; feeding a sequence step by step produces exactly
 //!   the logits of the batched run.
@@ -61,6 +62,7 @@
 
 mod error;
 mod guard;
+mod kernel;
 mod model;
 mod precision;
 mod session;

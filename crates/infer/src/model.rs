@@ -1,13 +1,15 @@
-//! The compiled inference model: flat weight buffers, precompiled filter
-//! coefficients, and the allocation-free batched forward pass.
+//! The compiled inference model: frozen weights compiled by the kernel in
+//! [`kernel`](crate::kernel) at one [`Precision`], and the
+//! allocation-free batched forward pass over reusable [`Scratch`].
 //!
 //! Every request-shaped entry point ([`InferModel::run_batch_into`] and
 //! friends) validates its input and returns [`InferError`] — the serving
 //! layer sheds malformed requests instead of panicking.
 
 use crate::error::InferError;
-use crate::precision::{KernelF32, KernelI32, Precision, ScratchF32, ScratchI32};
-use crate::variation::{LayerVariation, VariationSample};
+use crate::kernel::{Kernel, Lanes, LayerParams};
+use crate::precision::{Precision, QFormat, F32, F64};
+use crate::variation::VariationSample;
 
 /// Architecture and operating constants of a frozen 2-layer printed
 /// temporal-processing model — everything needed to interpret a flat
@@ -149,195 +151,16 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Raw (uncompiled) per-layer weights, kept so perturbed instances always
-/// compile from the nominal values.
-#[derive(Debug, Clone)]
-struct LayerParams {
-    fan_in: usize,
-    fan_out: usize,
-    theta_w: Vec<f64>,
-    theta_b: Vec<f64>,
-    theta_d: Vec<f64>,
-    /// Nominal stage resistances `exp(log R)`, `[stage][filter]`.
-    r: Vec<Vec<f64>>,
-    /// Nominal stage capacitances `exp(log C)`, `[stage][filter]`.
-    c: Vec<Vec<f64>>,
-    eta: [Vec<f64>; 4],
-}
-
-/// One layer compiled for execution: effective conductances, the column
-/// normalization `G`, per-stage filter recurrence coefficients and initial
-/// voltages, and the (possibly perturbed) η vectors.
-#[derive(Debug, Clone)]
-pub(crate) struct CompiledLayer {
-    pub(crate) fan_in: usize,
-    pub(crate) fan_out: usize,
-    /// Effective `θ_w` `[fan_in × fan_out]` (noise applied if any).
-    pub(crate) w: Vec<f64>,
-    /// Effective `θ_b` `[fan_out]`.
-    pub(crate) b: Vec<f64>,
-    /// Column conductance sum `G` `[fan_out]`.
-    pub(crate) g: Vec<f64>,
-    /// Filter decay coefficient `a = RC/(μRC + Δt)` per stage `[fan_out]`.
-    pub(crate) a: Vec<Vec<f64>>,
-    /// Filter input coefficient `b = Δt/(μRC + Δt)` per stage `[fan_out]`.
-    pub(crate) bc: Vec<Vec<f64>>,
-    /// Initial stage voltage per stage `[fan_out]`.
-    pub(crate) v0: Vec<Vec<f64>>,
-    /// Effective η₁..η₄ `[fan_out]` each.
-    pub(crate) eta: [Vec<f64>; 4],
-}
-
-impl CompiledLayer {
-    /// Compiles a layer at nominal conditions or under one variation
-    /// sample, replicating the design-time arithmetic exactly: `G` sums
-    /// `|θ_w|` row-by-row before adding `|θ_b|`, `|θ_d|` and the `1e-12`
-    /// floor, and the filter coefficients use `denom⁻¹·Δt` for `b` (the
-    /// autograd expression) rather than the algebraically equal `Δt/denom`.
-    fn compile(p: &LayerParams, spec: &InferSpec, noise: Option<&LayerVariation>) -> Self {
-        let (fan_in, fan_out) = (p.fan_in, p.fan_out);
-        let mut w = p.theta_w.clone();
-        let mut b = p.theta_b.clone();
-        let mut d = p.theta_d.clone();
-        if let Some(n) = noise {
-            for (v, e) in w.iter_mut().zip(&n.eps_w) {
-                *v *= e;
-            }
-            for (v, e) in b.iter_mut().zip(&n.eps_b) {
-                *v *= e;
-            }
-            for (v, e) in d.iter_mut().zip(&n.eps_d) {
-                *v *= e;
-            }
+/// Runs `$body` with `$x` bound to the payload of whichever precision
+/// variant `$e` (a [`Backend`] or [`ScratchLanes`]) holds.
+macro_rules! per_precision {
+    ($ty:ident, $e:expr, $x:ident => $body:expr) => {
+        match $e {
+            $ty::F64($x) => $body,
+            $ty::F32($x) => $body,
+            $ty::I32($x) => $body,
         }
-        let mut g = vec![0.0; fan_out];
-        for i in 0..fan_in {
-            for (j, gj) in g.iter_mut().enumerate() {
-                *gj += w[i * fan_out + j].abs();
-            }
-        }
-        for (j, gj) in g.iter_mut().enumerate() {
-            *gj += b[j].abs();
-            *gj += d[j].abs();
-            *gj += 1e-12;
-        }
-
-        let mut a = Vec::with_capacity(spec.stages);
-        let mut bc = Vec::with_capacity(spec.stages);
-        let mut v0 = Vec::with_capacity(spec.stages);
-        for s in 0..spec.stages {
-            let mut a_s = vec![0.0; fan_out];
-            let mut bc_s = vec![0.0; fan_out];
-            for j in 0..fan_out {
-                let mut r = p.r[s][j];
-                let mut c = p.c[s][j];
-                if let Some(n) = noise {
-                    r *= n.eps_r[s][j];
-                    c *= n.eps_c[s][j];
-                }
-                let rc = r * c;
-                let mu = match noise {
-                    Some(n) => n.mu[s][j],
-                    None => spec.mu_nominal,
-                };
-                let denom = mu * rc + spec.dt;
-                a_s[j] = rc / denom;
-                bc_s[j] = denom.powf(-1.0) * spec.dt;
-            }
-            a.push(a_s);
-            bc.push(bc_s);
-            v0.push(match noise {
-                Some(n) => n.v0[s].clone(),
-                None => vec![0.0; fan_out],
-            });
-        }
-
-        let eta = std::array::from_fn(|k| {
-            let mut e = p.eta[k].clone();
-            if let Some(n) = noise {
-                for (v, eps) in e.iter_mut().zip(&n.eps_eta[k]) {
-                    *v *= eps;
-                }
-            }
-            e
-        });
-
-        CompiledLayer {
-            fan_in,
-            fan_out,
-            w,
-            b,
-            g,
-            a,
-            bc,
-            v0,
-            eta,
-        }
-    }
-
-    /// One timestep through the layer: crossbar → filter stages → ptanh.
-    /// `src` is `[batch × fan_in]`; the activation lands in
-    /// `act[..batch × fan_out]`. `states` holds one `[batch × fan_out]`
-    /// buffer per stage and is updated in place.
-    fn step(
-        &self,
-        src: &[f64],
-        batch: usize,
-        xb: &mut [f64],
-        states: &mut [Vec<f64>],
-        act: &mut [f64],
-    ) {
-        let (i_dim, o_dim) = (self.fan_in, self.fan_out);
-        let xb = &mut xb[..batch * o_dim];
-        // Crossbar: y = (x·θ_w + θ_b) / G, accumulated over fan_in in
-        // ascending order (the mat-mul kernel's order).
-        for bi in 0..batch {
-            let row = &src[bi * i_dim..(bi + 1) * i_dim];
-            let out_row = &mut xb[bi * o_dim..(bi + 1) * o_dim];
-            out_row.fill(0.0);
-            for (i, &xv) in row.iter().enumerate() {
-                let w_row = &self.w[i * o_dim..(i + 1) * o_dim];
-                for (o, &wv) in out_row.iter_mut().zip(w_row) {
-                    *o += xv * wv;
-                }
-            }
-            for ((o, &bj), &gj) in out_row.iter_mut().zip(&self.b).zip(&self.g) {
-                *o = (*o + bj) / gj;
-            }
-        }
-        // Filter stages: state ← a⊙state + b⊙input, chained. Lane rows are
-        // pre-split with `chunks_exact` so the inner loop zips coefficient
-        // slices instead of indexing `idx % o_dim` — identical arithmetic,
-        // no modulo or bounds checks in the hot loop.
-        for s in 0..states.len() {
-            let (prev, rest) = states.split_at_mut(s);
-            let state = &mut rest[0][..batch * o_dim];
-            let input: &[f64] = if s == 0 {
-                xb
-            } else {
-                &prev[s - 1][..batch * o_dim]
-            };
-            let (a_s, b_s) = (&self.a[s][..o_dim], &self.bc[s][..o_dim]);
-            for (srow, irow) in state.chunks_exact_mut(o_dim).zip(input.chunks_exact(o_dim)) {
-                let coeff = a_s.iter().zip(b_s.iter());
-                for ((st, &iv), (&av, &bv)) in srow.iter_mut().zip(irow).zip(coeff) {
-                    *st = av * *st + bv * iv;
-                }
-            }
-        }
-        // ptanh: η₁ + η₂·tanh((V − η₃)·η₄).
-        let last = &states[states.len() - 1][..batch * o_dim];
-        let (e1, e2, e3, e4) = (&self.eta[0], &self.eta[1], &self.eta[2], &self.eta[3]);
-        for (arow, lrow) in act[..batch * o_dim]
-            .chunks_exact_mut(o_dim)
-            .zip(last.chunks_exact(o_dim))
-        {
-            let eta = e1.iter().zip(e2.iter()).zip(e3.iter().zip(e4.iter()));
-            for ((out, &lv), ((&h1, &h2), (&h3, &h4))) in arow.iter_mut().zip(lrow).zip(eta) {
-                *out = h1 + h2 * ((lv - h3) * h4).tanh();
-            }
-        }
-    }
+    };
 }
 
 /// Preallocated, reusable working memory for one batch size. Create once
@@ -345,79 +168,57 @@ impl CompiledLayer {
 /// loop performs no allocation.
 ///
 /// A scratch carries the precision of the model that created it: its
-/// internal buffers are `f64`, `f32` or quantized `i32` depending on the
-/// backend, and the batch entry points reject a scratch whose precision
-/// does not match the model's. The lane-state API below always speaks
-/// `f64` wire format (stage voltages in `[layer][stage][filter]` order)
-/// regardless of the backend, so sessions persist and migrate state the
-/// same way at every precision.
+/// buffers hold `f64`, `f32` or quantized `i32` elements, and the batch
+/// entry points reject a scratch whose precision does not match the
+/// model's. Its filter state is the stage voltages at every precision, so
+/// the lane-state API below speaks one `f64` wire format (`[layer][stage]
+/// [filter]`) and sessions persist and migrate state the same way at
+/// every precision.
 #[derive(Debug, Clone)]
 pub struct Scratch {
-    batch: usize,
-    repr: ScratchRepr,
+    lanes: ScratchLanes,
 }
 
 #[derive(Debug, Clone)]
-enum ScratchRepr {
-    F64(ScratchF64),
-    F32(ScratchF32),
-    I32(ScratchI32),
-}
-
-/// The reference backend's buffers, lane-major like the autograd kernels.
-#[derive(Debug, Clone)]
-struct ScratchF64 {
-    /// Crossbar output buffer, `[batch × max_width]`.
-    xb: Vec<f64>,
-    /// Hidden-layer activation, `[batch × hidden]`.
-    hidden_act: Vec<f64>,
-    /// Class-layer activation, `[batch × classes]`.
-    class_act: Vec<f64>,
-    /// Filter states, `[layer][stage][batch × fan_out]`.
-    states: [Vec<Vec<f64>>; 2],
+enum ScratchLanes {
+    F64(Lanes<F64>),
+    F32(Lanes<F32>),
+    I32(Lanes<QFormat>),
 }
 
 impl Scratch {
     /// The batch size this scratch was sized for.
     pub fn batch(&self) -> usize {
-        self.batch
+        per_precision!(ScratchLanes, &self.lanes, l => l.batch())
     }
 
     /// The precision of the model this scratch was created by.
     pub fn precision(&self) -> Precision {
-        match &self.repr {
-            ScratchRepr::F64(_) => Precision::F64,
-            ScratchRepr::F32(_) => Precision::F32,
-            ScratchRepr::I32(s) => Precision::I32(s.qformat()),
+        match &self.lanes {
+            ScratchLanes::F64(_) => Precision::F64,
+            ScratchLanes::F32(_) => Precision::F32,
+            ScratchLanes::I32(l) => Precision::I32(l.arith()),
         }
     }
 
-    /// Length of one lane's flat resident filter state: the values of
-    /// every `[layer][stage]` buffer that belong to a single batch lane,
-    /// in `[layer][stage][filter]` order. Sessions persist exactly this
-    /// many `f64`s between submissions.
+    /// Length of one lane's flat resident filter state: the stage voltages
+    /// of every layer that belong to a single batch lane, in
+    /// `[layer][stage][filter]` order. Sessions persist exactly this many
+    /// `f64`s between submissions.
     pub fn lane_state_len(&self) -> usize {
-        match &self.repr {
-            ScratchRepr::F64(s) => s
-                .states
-                .iter()
-                .flatten()
-                .map(|stage| stage.len() / self.batch)
-                .sum(),
-            ScratchRepr::F32(s) => s.lane_state_len(),
-            ScratchRepr::I32(s) => s.lane_state_len(),
-        }
+        per_precision!(ScratchLanes, &self.lanes, l => l.state_len())
     }
 
-    fn check_lane(&self, lane: usize, state_len: usize) -> Result<(), InferError> {
-        if lane >= self.batch {
+    /// Checks `lane` and, if given, the length of a lane-state buffer.
+    fn check_lane(&self, lane: usize, state_len: Option<usize>) -> Result<(), InferError> {
+        if lane >= self.batch() {
             return Err(InferError::ShapeMismatch {
                 what: "state lane",
-                expected: self.batch,
+                expected: self.batch(),
                 found: lane,
             });
         }
-        if state_len != self.lane_state_len() {
+        if let Some(state_len) = state_len.filter(|&n| n != self.lane_state_len()) {
             return Err(InferError::ShapeMismatch {
                 what: "lane state",
                 expected: self.lane_state_len(),
@@ -427,97 +228,46 @@ impl Scratch {
         Ok(())
     }
 
-    /// Copies lane `lane`'s filter states into `out` (flat
+    /// Copies lane `lane`'s stage voltages into `out` (flat
     /// `[layer][stage][filter]` wire order, [`Scratch::lane_state_len`]
-    /// values). Quantized backends dequantize and convert their internal
-    /// delayed-output state into stage voltages on the fly.
+    /// values), converted to `f64`.
     ///
     /// # Errors
     ///
     /// [`InferError::ShapeMismatch`] on a lane out of range or an `out`
     /// of the wrong length; nothing is written on error.
     pub fn export_lane_state(&self, lane: usize, out: &mut [f64]) -> Result<(), InferError> {
-        self.check_lane(lane, out.len())?;
-        match &self.repr {
-            ScratchRepr::F64(s) => {
-                let mut at = 0;
-                for stage in s.states.iter().flatten() {
-                    let fan_out = stage.len() / self.batch;
-                    out[at..at + fan_out]
-                        .copy_from_slice(&stage[lane * fan_out..(lane + 1) * fan_out]);
-                    at += fan_out;
-                }
-            }
-            ScratchRepr::F32(s) => s.export_lane_state(lane, self.batch, out),
-            ScratchRepr::I32(s) => s.export_lane_state(lane, self.batch, out),
-        }
+        self.check_lane(lane, Some(out.len()))?;
+        per_precision!(ScratchLanes, &self.lanes, l => l.export(lane, out));
         Ok(())
     }
 
     /// Writes a flat lane state (as produced by
-    /// [`Scratch::export_lane_state`]) into lane `lane`'s filter states.
-    /// Quantized backends convert the stage voltages to their internal
-    /// state and re-quantize, so an export/import round trip is stable.
+    /// [`Scratch::export_lane_state`]) into lane `lane`'s stage voltages,
+    /// converted to the scratch's precision (quantized backends round and
+    /// saturate), so an export/import round trip is stable.
     ///
     /// # Errors
     ///
     /// [`InferError::ShapeMismatch`] on a lane out of range or a `state`
     /// of the wrong length; the scratch is untouched on error.
     pub fn import_lane_state(&mut self, lane: usize, state: &[f64]) -> Result<(), InferError> {
-        self.check_lane(lane, state.len())?;
-        let batch = self.batch;
-        match &mut self.repr {
-            ScratchRepr::F64(s) => {
-                let mut at = 0;
-                for stage in s.states.iter_mut().flatten() {
-                    let fan_out = stage.len() / batch;
-                    stage[lane * fan_out..(lane + 1) * fan_out]
-                        .copy_from_slice(&state[at..at + fan_out]);
-                    at += fan_out;
-                }
-            }
-            ScratchRepr::F32(s) => s.import_lane_state(lane, batch, state),
-            ScratchRepr::I32(s) => s.import_lane_state(lane, batch, state),
-        }
+        self.check_lane(lane, Some(state.len()))?;
+        per_precision!(ScratchLanes, &mut self.lanes, l => l.import(lane, state));
         Ok(())
     }
 
-    /// Root-mean-square of lane `lane`'s resident filter-state values (in
-    /// wire format) — a cheap scalar summary of filter excitation that
-    /// drift detectors can track over time. NaN states propagate into the
-    /// result (a non-finite RMS is itself a detection signal).
+    /// Root-mean-square of lane `lane`'s resident stage voltages — a cheap
+    /// scalar summary of filter excitation that drift detectors can track
+    /// over time. NaN states propagate into the result (a non-finite RMS
+    /// is itself a detection signal).
     ///
     /// # Errors
     ///
     /// Returns [`InferError::ShapeMismatch`] if `lane` is out of range.
     pub fn lane_state_rms(&self, lane: usize) -> Result<f64, InferError> {
-        if lane >= self.batch {
-            return Err(InferError::ShapeMismatch {
-                what: "state lane",
-                expected: self.batch,
-                found: lane,
-            });
-        }
-        Ok(match &self.repr {
-            ScratchRepr::F64(s) => {
-                let mut sum_sq = 0.0;
-                let mut n = 0usize;
-                for stage in s.states.iter().flatten() {
-                    let fan_out = stage.len() / self.batch;
-                    for &v in &stage[lane * fan_out..(lane + 1) * fan_out] {
-                        sum_sq += v * v;
-                        n += 1;
-                    }
-                }
-                if n == 0 {
-                    0.0
-                } else {
-                    (sum_sq / n as f64).sqrt()
-                }
-            }
-            ScratchRepr::F32(s) => s.lane_state_rms(lane, self.batch),
-            ScratchRepr::I32(s) => s.lane_state_rms(lane, self.batch),
-        })
+        self.check_lane(lane, None)?;
+        Ok(per_precision!(ScratchLanes, &self.lanes, l => l.rms(lane)))
     }
 
     /// Whether every filter-state value is finite. One non-finite input
@@ -526,15 +276,7 @@ impl Scratch {
     /// health between forwards. The `i32` backend is finite by
     /// construction (saturating arithmetic), so it always reports `true`.
     pub fn states_are_finite(&self) -> bool {
-        match &self.repr {
-            ScratchRepr::F64(s) => s
-                .states
-                .iter()
-                .flatten()
-                .all(|stage| stage.iter().all(|v| v.is_finite())),
-            ScratchRepr::F32(s) => s.states_are_finite(),
-            ScratchRepr::I32(_) => true,
-        }
+        per_precision!(ScratchLanes, &self.lanes, l => l.states_are_finite())
     }
 }
 
@@ -546,35 +288,31 @@ impl Scratch {
 pub struct InferModel {
     spec: InferSpec,
     raw: [LayerParams; 2],
-    layers: [CompiledLayer; 2],
     precision: Precision,
     backend: Backend,
 }
 
-/// The compiled execution backend. `F64` runs [`CompiledLayer::step`]
-/// directly; the reduced-precision kernels are compiled *from* the f64
-/// layers (a single quantization point), so `perturbed()` requantizes
-/// for free after recompiling the layers.
+/// The kernel compiled at the model's precision. Every precision compiles
+/// from the raw `f64` parameters (a single quantization point), so
+/// `perturbed()` requantizes for free.
 #[derive(Debug, Clone)]
 enum Backend {
-    F64,
-    F32(KernelF32),
-    I32(KernelI32),
+    F64(Kernel<F64>),
+    F32(Kernel<F32>),
+    I32(Kernel<QFormat>),
 }
 
 impl Backend {
     fn compile(
         precision: Precision,
         spec: &InferSpec,
-        layers: &[CompiledLayer; 2],
-    ) -> Result<Backend, BuildError> {
+        raw: &[LayerParams; 2],
+        noise: Option<&VariationSample>,
+    ) -> Backend {
         match precision {
-            Precision::F64 => Ok(Backend::F64),
-            Precision::F32 => Ok(Backend::F32(KernelF32::compile(layers, spec.input_dim))),
-            Precision::I32(q) => {
-                q.validate_for(spec.input_dim.max(spec.hidden))?;
-                Ok(Backend::I32(KernelI32::compile(layers, spec.input_dim, q)))
-            }
+            Precision::F64 => Backend::F64(Kernel::compile(F64, spec, raw, noise)),
+            Precision::F32 => Backend::F32(Kernel::compile(F32, spec, raw, noise)),
+            Precision::I32(q) => Backend::I32(Kernel::compile(q, spec, raw, noise)),
         }
     }
 }
@@ -591,11 +329,11 @@ impl InferModel {
         Self::build_with_precision(spec, params, Precision::F64)
     }
 
-    /// Like [`InferModel::build`] but compiling the execution kernels at
-    /// the given [`Precision`]. The raw parameters and the f64 compiled
-    /// layers are kept regardless of backend (quantization happens from
-    /// them), so the lane-state wire format and `reset_lane_state` are
-    /// precision-independent.
+    /// Like [`InferModel::build`] but compiling the kernel at the given
+    /// [`Precision`]. The raw `f64` parameters are kept regardless of
+    /// precision (every compilation quantizes from them), and the
+    /// lane-state wire format is the same stage voltages at every
+    /// precision.
     ///
     /// # Errors
     ///
@@ -633,39 +371,28 @@ impl InferModel {
             }
         }
 
+        if let Precision::I32(q) = precision {
+            q.validate_for(spec.input_dim.max(spec.hidden))?;
+        }
+
         let per_layer = spec.params_per_layer();
+        let exp = |k: usize| params[k].iter().map(|v| v.exp()).collect::<Vec<f64>>();
         let raw: [LayerParams; 2] = std::array::from_fn(|l| {
-            let (fan_in, fan_out) = spec.layer_dims()[l];
             let base = l * per_layer;
-            let mut r = Vec::with_capacity(spec.stages);
-            let mut c = Vec::with_capacity(spec.stages);
-            for s in 0..spec.stages {
-                r.push(params[base + 3 + 2 * s].iter().map(|v| v.exp()).collect());
-                c.push(
-                    params[base + 3 + 2 * s + 1]
-                        .iter()
-                        .map(|v| v.exp())
-                        .collect(),
-                );
-            }
             let eta_base = base + 3 + 2 * spec.stages;
             LayerParams {
-                fan_in,
-                fan_out,
                 theta_w: params[base].clone(),
                 theta_b: params[base + 1].clone(),
                 theta_d: params[base + 2].clone(),
-                r,
-                c,
+                r: (0..spec.stages).map(|s| exp(base + 3 + 2 * s)).collect(),
+                c: (0..spec.stages).map(|s| exp(base + 4 + 2 * s)).collect(),
                 eta: std::array::from_fn(|k| params[eta_base + k].clone()),
             }
         });
-        let layers = std::array::from_fn(|l| CompiledLayer::compile(&raw[l], &spec, None));
-        let backend = Backend::compile(precision, &spec, &layers)?;
+        let backend = Backend::compile(precision, &spec, &raw, None);
         Ok(InferModel {
             spec,
             raw,
-            layers,
             precision,
             backend,
         })
@@ -699,10 +426,10 @@ impl InferModel {
             });
         }
         for (raw, lv) in self.raw.iter().zip(&sample.layers) {
-            if lv.eps_w.len() != raw.fan_in * raw.fan_out {
+            if lv.eps_w.len() != raw.theta_w.len() {
                 return Err(InferError::SpecMismatch {
                     what: "crossbar variation",
-                    expected: raw.fan_in * raw.fan_out,
+                    expected: raw.theta_w.len(),
                     found: lv.eps_w.len(),
                 });
             }
@@ -714,19 +441,11 @@ impl InferModel {
                 });
             }
         }
-        let layers = std::array::from_fn(|l| {
-            CompiledLayer::compile(&self.raw[l], &self.spec, Some(&sample.layers[l]))
-        });
-        // Q-format fan-in validation depends only on the spec, which this
-        // model already passed at build time.
-        let backend = Backend::compile(self.precision, &self.spec, &layers)
-            .expect("precision was validated against this spec at build time");
         Ok(InferModel {
             spec: self.spec,
             raw: self.raw.clone(),
-            layers,
             precision: self.precision,
-            backend,
+            backend: Backend::compile(self.precision, &self.spec, &self.raw, Some(sample)),
         })
     }
 
@@ -739,23 +458,12 @@ impl InferModel {
         if batch == 0 {
             return Err(InferError::ZeroBatch);
         }
-        let repr = match &self.backend {
-            Backend::F64 => {
-                let max_w = self.spec.hidden.max(self.spec.classes);
-                ScratchRepr::F64(ScratchF64 {
-                    xb: vec![0.0; batch * max_w],
-                    hidden_act: vec![0.0; batch * self.spec.hidden],
-                    class_act: vec![0.0; batch * self.spec.classes],
-                    states: std::array::from_fn(|l| {
-                        let fan_out = self.spec.layer_dims()[l].1;
-                        vec![vec![0.0; batch * fan_out]; self.spec.stages]
-                    }),
-                })
-            }
-            Backend::F32(k) => ScratchRepr::F32(k.make_scratch(batch)),
-            Backend::I32(k) => ScratchRepr::I32(k.make_scratch(batch)),
+        let lanes = match &self.backend {
+            Backend::F64(k) => ScratchLanes::F64(k.lanes(batch)),
+            Backend::F32(k) => ScratchLanes::F32(k.lanes(batch)),
+            Backend::I32(k) => ScratchLanes::I32(k.lanes(batch)),
         };
-        Ok(Scratch { batch, repr })
+        Ok(Scratch { lanes })
     }
 
     /// Length of one stream's flat resident filter state
@@ -766,8 +474,9 @@ impl InferModel {
     }
 
     /// Writes this instance's initial stage voltages (zero at nominal, the
-    /// sampled V₀ when perturbed) into a flat lane state, in the
-    /// `[layer][stage][filter]` order of [`Scratch::export_lane_state`].
+    /// sampled V₀ when perturbed, in the model's precision) into a flat
+    /// lane state, in the `[layer][stage][filter]` order of
+    /// [`Scratch::export_lane_state`].
     ///
     /// # Errors
     ///
@@ -781,74 +490,27 @@ impl InferModel {
                 found: state.len(),
             });
         }
-        let mut at = 0;
-        for layer in &self.layers {
-            for v0 in &layer.v0 {
-                state[at..at + layer.fan_out].copy_from_slice(v0);
-                at += layer.fan_out;
-            }
-        }
+        per_precision!(Backend, &self.backend, k => k.initial_state(state));
         Ok(())
     }
 
-    /// Resets the filter states in `scratch` to this instance's initial
-    /// stage voltages (zero at nominal, the sampled V₀ when perturbed).
-    pub(crate) fn reset_states(&self, scratch: &mut Scratch) {
-        match (&self.backend, &mut scratch.repr) {
-            (Backend::F64, ScratchRepr::F64(sc)) => {
-                for (layer, states) in self.layers.iter().zip(sc.states.iter_mut()) {
-                    for (s, state) in states.iter_mut().enumerate() {
-                        for row in state.chunks_exact_mut(layer.fan_out) {
-                            row.copy_from_slice(&layer.v0[s]);
-                        }
-                    }
-                }
-            }
-            (Backend::F32(k), ScratchRepr::F32(sc)) => k.reset(sc, scratch.batch),
-            (Backend::I32(k), ScratchRepr::I32(sc)) => k.reset(sc, scratch.batch),
-            _ => unreachable!("scratch precision checked before kernel dispatch"),
-        }
-    }
-
-    /// Advances every layer by one timestep. `src` is `[batch × input_dim]`;
-    /// afterwards the scratch's class activation holds the final-layer
-    /// output. Callers must have validated the scratch against this model
-    /// (every public entry point does).
-    pub(crate) fn advance(&self, src: &[f64], scratch: &mut Scratch) {
-        let batch = scratch.batch;
-        match (&self.backend, &mut scratch.repr) {
-            (Backend::F64, ScratchRepr::F64(sc)) => {
-                let (st0, st1) = sc.states.split_at_mut(1);
-                self.layers[0].step(src, batch, &mut sc.xb, &mut st0[0], &mut sc.hidden_act);
-                self.layers[1].step(
-                    &sc.hidden_act,
-                    batch,
-                    &mut sc.xb,
-                    &mut st1[0],
-                    &mut sc.class_act,
-                );
-            }
-            (Backend::F32(k), ScratchRepr::F32(sc)) => k.advance(src, sc, batch),
-            (Backend::I32(k), ScratchRepr::I32(sc)) => k.advance(src, sc, batch),
-            _ => unreachable!("scratch precision checked before kernel dispatch"),
-        }
-    }
-
-    /// Writes the sense-stage logits (final-layer activation × logit
-    /// scale) into `out`.
-    pub(crate) fn read_logits(&self, scratch: &Scratch, out: &mut [f64]) {
-        match (&self.backend, &scratch.repr) {
-            (Backend::F64, ScratchRepr::F64(sc)) => {
-                for (o, &v) in out.iter_mut().zip(&sc.class_act) {
-                    *o = v * self.spec.logit_scale;
-                }
-            }
-            (Backend::F32(k), ScratchRepr::F32(sc)) => {
-                k.read_logits(sc, scratch.batch, self.spec.logit_scale, out)
-            }
-            (Backend::I32(k), ScratchRepr::I32(sc)) => {
-                k.read_logits(sc, scratch.batch, self.spec.logit_scale, out)
-            }
+    /// Runs the kernel on `scratch`: resets its filter states to the
+    /// initial stage voltages if `reset`, advances them over every whole
+    /// timestep in `steps` (`[step][lane][input]`, possibly none), then
+    /// writes the sense-stage logits into `logits` if given. Callers must
+    /// have validated the scratch and buffers against this model (every
+    /// public entry point does).
+    pub(crate) fn forward(
+        &self,
+        scratch: &mut Scratch,
+        reset: bool,
+        steps: &[f64],
+        logits: Option<&mut [f64]>,
+    ) {
+        match (&self.backend, &mut scratch.lanes) {
+            (Backend::F64(k), ScratchLanes::F64(l)) => k.run(l, reset, steps, logits),
+            (Backend::F32(k), ScratchLanes::F32(l)) => k.run(l, reset, steps, logits),
+            (Backend::I32(k), ScratchLanes::I32(l)) => k.run(l, reset, steps, logits),
             _ => unreachable!("scratch precision checked before kernel dispatch"),
         }
     }
@@ -874,12 +536,7 @@ impl InferModel {
         out: &mut [f64],
     ) -> Result<(), InferError> {
         self.validate_batch(steps, batch, scratch, out)?;
-        self.reset_states(scratch);
-        let step_len = batch * self.spec.input_dim;
-        for chunk in steps.chunks_exact(step_len) {
-            self.advance(chunk, scratch);
-        }
-        self.read_logits(scratch, out);
+        self.forward(scratch, true, steps, Some(out));
         Ok(())
     }
 
@@ -908,11 +565,7 @@ impl InferModel {
         out: &mut [f64],
     ) -> Result<(), InferError> {
         self.validate_batch(steps, batch, scratch, out)?;
-        let step_len = batch * self.spec.input_dim;
-        for chunk in steps.chunks_exact(step_len) {
-            self.advance(chunk, scratch);
-        }
-        self.read_logits(scratch, out);
+        self.forward(scratch, false, steps, Some(out));
         Ok(())
     }
 
@@ -934,11 +587,11 @@ impl InferModel {
                 found: steps.len(),
             });
         }
-        if scratch.batch != batch {
+        if scratch.batch() != batch {
             return Err(InferError::ShapeMismatch {
                 what: "scratch batch",
                 expected: batch,
-                found: scratch.batch,
+                found: scratch.batch(),
             });
         }
         let found = scratch.precision();

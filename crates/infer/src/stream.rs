@@ -20,7 +20,7 @@ pub struct StreamState<'m> {
 impl<'m> StreamState<'m> {
     pub(crate) fn new(model: &'m InferModel, batch: usize) -> Result<Self, InferError> {
         let mut scratch = model.make_scratch(batch)?;
-        model.reset_states(&mut scratch);
+        model.forward(&mut scratch, true, &[], None);
         let logits = vec![0.0; batch * model.spec().classes];
         Ok(StreamState {
             model,
@@ -81,8 +81,8 @@ impl<'m> StreamState<'m> {
                 found: input.len(),
             });
         }
-        self.model.advance(input, &mut self.scratch);
-        self.model.read_logits(&self.scratch, &mut self.logits);
+        self.model
+            .forward(&mut self.scratch, false, input, Some(&mut self.logits));
         self.steps_seen += 1;
         Ok(&self.logits)
     }
@@ -90,7 +90,7 @@ impl<'m> StreamState<'m> {
     /// Rewinds the filter states to their initial voltages, ready for a
     /// fresh sequence. No allocation.
     pub fn reset(&mut self) {
-        self.model.reset_states(&mut self.scratch);
+        self.model.forward(&mut self.scratch, true, &[], None);
         self.steps_seen = 0;
     }
 }

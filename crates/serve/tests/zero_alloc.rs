@@ -2,29 +2,46 @@
 //! [`MicroBatcher`] is built, `begin → load_lane → forward` performs no
 //! heap allocation in steady state — with or without the input guard, and
 //! on the resident-session path (`import_session → forward_resident →
-//! export_session`) just the same — under a counting global allocator.
+//! export_session`) just the same — at every precision, under a counting
+//! global allocator.
 //!
-//! This lives in its own test binary because `#[global_allocator]` is
-//! process-wide.
+//! The allocator counts per thread: the hot path under test runs on the
+//! test's own thread, so tests running in parallel cannot leak their
+//! setup allocations into each other's measurement windows. This lives in
+//! its own test binary because `#[global_allocator]` is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use adapt_pnc::models::PrintedModel;
 use adapt_pnc::serve::ServeModel;
-use ptnc_infer::GuardConfig;
+use ptnc_infer::{GuardConfig, Precision, QFormat};
 use ptnc_serve::{BatchConfig, MicroBatcher};
 use ptnc_tensor::init;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. `const`-initialized and free of
+    /// destructors, so touching it from inside the allocator never
+    /// allocates or registers thread-exit work.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates directly to `System`; the counter is a relaxed atomic
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: delegates directly to `System`; the counter is a thread-local
 // side effect and does not affect allocation behavior.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -33,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -43,9 +60,22 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const DIM: usize = 3;
 
-fn steady_state_allocs(guard: Option<GuardConfig>) -> u64 {
+const PRECISIONS: [Precision; 3] = [
+    Precision::F64,
+    Precision::F32,
+    Precision::I32(QFormat::DEFAULT),
+];
+
+fn engine(precision: Precision) -> ServeModel {
     let model = PrintedModel::adapt_pnc(DIM, 6, 4, &mut init::rng(7));
-    let engine = ServeModel::from_live(&model).unwrap().into_engine();
+    ServeModel::builder()
+        .precision(precision)
+        .from_live(&model)
+        .unwrap()
+}
+
+fn steady_state_allocs(guard: Option<GuardConfig>, precision: Precision) -> u64 {
+    let engine = engine(precision).into_engine();
     let cfg = BatchConfig {
         max_batch: 8,
         max_steps: 64,
@@ -73,39 +103,40 @@ fn steady_state_allocs(guard: Option<GuardConfig>) -> u64 {
 
     // Warm up once (lazy thread-locals, first-use buffers), then measure.
     round(&mut mb);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..32 {
         round(&mut mb);
     }
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    allocations() - before
 }
 
 #[test]
 fn batched_forward_is_allocation_free_in_steady_state() {
-    assert_eq!(
-        steady_state_allocs(None),
-        0,
-        "unguarded begin/load/forward must not touch the heap"
-    );
+    for precision in PRECISIONS {
+        assert_eq!(
+            steady_state_allocs(None, precision),
+            0,
+            "{precision}: unguarded begin/load/forward must not touch the heap"
+        );
+    }
 }
 
 #[test]
 fn guarded_forward_is_allocation_free_in_steady_state() {
-    assert_eq!(
-        steady_state_allocs(Some(GuardConfig::default_policy())),
-        0,
-        "guarded begin/load/forward must not touch the heap"
-    );
+    for precision in PRECISIONS {
+        assert_eq!(
+            steady_state_allocs(Some(GuardConfig::default_policy()), precision),
+            0,
+            "{precision}: guarded begin/load/forward must not touch the heap"
+        );
+    }
 }
 
 /// The session steady state: resident states of more logical streams than
 /// lanes are gathered into the scratch, advanced by a no-reset forward,
 /// and scattered back — with zero allocations per batched forward.
-fn session_steady_state_allocs(guard: Option<GuardConfig>) -> u64 {
-    use std::sync::Arc;
-
-    let model = PrintedModel::adapt_pnc(DIM, 6, 4, &mut init::rng(7));
-    let engine: Arc<_> = ServeModel::from_live(&model).unwrap().into_shared_engine();
+fn session_steady_state_allocs(guard: Option<GuardConfig>, precision: Precision) -> u64 {
+    let engine = engine(precision).into_shared_engine();
     let cfg = BatchConfig {
         max_batch: 8,
         max_steps: 64,
@@ -140,27 +171,31 @@ fn session_steady_state_allocs(guard: Option<GuardConfig>) -> u64 {
 
     // Warm up once (lazy thread-locals, first-use buffers), then measure.
     round(&mut mb, &mut sessions, 0);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for k in 0..32 {
         round(&mut mb, &mut sessions, (k % 2) * cfg.max_batch);
     }
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    allocations() - before
 }
 
 #[test]
 fn session_forward_is_allocation_free_in_steady_state() {
-    assert_eq!(
-        session_steady_state_allocs(None),
-        0,
-        "import/forward_resident/export must not touch the heap"
-    );
+    for precision in PRECISIONS {
+        assert_eq!(
+            session_steady_state_allocs(None, precision),
+            0,
+            "{precision}: import/forward_resident/export must not touch the heap"
+        );
+    }
 }
 
 #[test]
 fn guarded_session_forward_is_allocation_free_in_steady_state() {
-    assert_eq!(
-        session_steady_state_allocs(Some(GuardConfig::default_policy())),
-        0,
-        "guarded session forwards must not touch the heap"
-    );
+    for precision in PRECISIONS {
+        assert_eq!(
+            session_steady_state_allocs(Some(GuardConfig::default_policy()), precision),
+            0,
+            "{precision}: guarded session forwards must not touch the heap"
+        );
+    }
 }

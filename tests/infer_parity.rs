@@ -151,3 +151,78 @@ fn graphfree_evaluation_invariant_across_thread_counts() {
         );
     }
 }
+
+/// FNV-1a over the IEEE-754 bit patterns of `values`.
+fn bits_digest(digest: &mut u64, values: &[f64]) {
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            *digest ^= byte as u64;
+            *digest = digest.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// Bit-stability pin for the f64 reference kernel: the exact bit patterns
+/// of the one-shot logits, of a chunked `run_chunk_into` (logits and
+/// exported lane states after every chunk) and of a perturbed instance,
+/// for filter orders 1–3, hashed per order. Any change to the f64
+/// arithmetic (accumulation order, division by `G`, `tanh`) moves them,
+/// even one the 1e-9 parity tests above accept; a change that does so on
+/// purpose re-captures them. They assume IEEE-754 `f64` and the platform
+/// libm's `exp`, `powf` and `tanh` (glibc on x86-64 Linux).
+#[test]
+fn f64_logits_and_lane_states_are_bit_stable() {
+    const GOLDEN: [u64; 3] = [0xad0924c89e1154ca, 0x85814169af5f3ca2, 0xb495fb3c622daadd];
+    const BATCH: usize = 3;
+    const CHUNK: usize = 4;
+    let mut digests = [0u64; 3];
+    for (k, order) in ORDERS.into_iter().enumerate() {
+        let model = model_with_order(order, 90 + k as u64);
+        let steps = seeded_steps(12, BATCH, 2);
+        let engine = serve::ServeModel::from_live(&model).unwrap().into_engine();
+        let flat = serve::ServeModel::flatten_steps(&steps).unwrap();
+        let classes = engine.spec().classes;
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+
+        bits_digest(&mut digest, &engine.run_batch(&flat, BATCH).unwrap());
+
+        let mut scratch = engine.make_scratch(BATCH).unwrap();
+        let mut state = vec![0.0; engine.lane_state_len()];
+        engine.reset_lane_state(&mut state).unwrap();
+        for lane in 0..BATCH {
+            scratch.import_lane_state(lane, &state).unwrap();
+        }
+        let mut out = vec![0.0; BATCH * classes];
+        for chunk in flat.chunks(CHUNK * BATCH * 2) {
+            engine
+                .run_chunk_into(chunk, BATCH, &mut scratch, &mut out)
+                .unwrap();
+            bits_digest(&mut digest, &out);
+            for lane in 0..BATCH {
+                scratch.export_lane_state(lane, &mut state).unwrap();
+                bits_digest(&mut digest, &state);
+            }
+        }
+
+        let dist = (&VariationConfig::paper_default()).into();
+        let mut rng = rng_for(91, streams::EVAL_TRIAL, k as u64);
+        let sample = VariationSample::draw(engine.spec(), &dist, &mut rng);
+        let perturbed = engine.perturbed(&sample).unwrap();
+        let mut scratch = perturbed.make_scratch(BATCH).unwrap();
+        perturbed
+            .run_batch_into(&flat, BATCH, &mut scratch, &mut out)
+            .unwrap();
+        bits_digest(&mut digest, &out);
+        for lane in 0..BATCH {
+            scratch.export_lane_state(lane, &mut state).unwrap();
+            bits_digest(&mut digest, &state);
+        }
+        perturbed.reset_lane_state(&mut state).unwrap();
+        bits_digest(&mut digest, &state);
+        digests[k] = digest;
+    }
+    assert_eq!(
+        digests, GOLDEN,
+        "f64 kernel bits moved: got {digests:#018x?}"
+    );
+}

@@ -5,7 +5,7 @@
 //! session state across the f64 wire format without drift.
 
 use adapt_pnc::faultsim::{FaultKind, FaultSchedule};
-use adapt_pnc::infer::{GuardConfig, InputGuard, Precision, QFormat};
+use adapt_pnc::infer::{GuardConfig, InferModel, InferSpec, InputGuard, Precision, QFormat};
 use adapt_pnc::prelude::*;
 use adapt_pnc::serve::ServeModel;
 use ptnc_tensor::{init, Tensor};
@@ -206,6 +206,71 @@ fn quantized_lane_state_round_trips_through_wire_format() {
             assert!(
                 err < tol,
                 "{order:?} {precision}: resumed logits diverged by {err}"
+            );
+        }
+    }
+
+    // The PDK's small-RC corner (R = 50 Ω, C = 100 nF, Δt = 0.01, μ = 1):
+    // stage decays near zero and alternating-sign stage voltages, as
+    // independent per-stage V₀ draws produce. Importing then exporting a
+    // lane state must give the state back within one quantum.
+    for stages in [2, 3] {
+        let spec = InferSpec {
+            input_dim: DIM,
+            hidden: 5,
+            classes: 3,
+            stages,
+            mu_nominal: 1.0,
+            dt: 0.01,
+            logit_scale: 1.0,
+        };
+        let per_layer = spec.params_per_layer();
+        let params: Vec<Vec<f64>> = spec
+            .param_lens()
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| {
+                // θ_w, θ_b, θ_d, then (log R, log C) per stage, then η.
+                let slot = k % per_layer;
+                let v = if !(3..3 + 2 * stages).contains(&slot) {
+                    0.3
+                } else if (slot - 3).is_multiple_of(2) {
+                    50f64.ln()
+                } else {
+                    100e-9f64.ln()
+                };
+                vec![v; n]
+            })
+            .collect();
+        for precision in [
+            Precision::F64,
+            Precision::F32,
+            Precision::I32(QFormat::DEFAULT),
+            Precision::I32(QFormat::new(26).unwrap()),
+        ] {
+            let engine = InferModel::build_with_precision(spec, &params, precision).unwrap();
+            let mut scratch = engine.make_scratch(1).unwrap();
+            let widths = [spec.hidden, spec.classes];
+            let state: Vec<f64> = widths
+                .iter()
+                .flat_map(|&w| (0..stages).flat_map(move |s| std::iter::repeat_n(s, w)))
+                .map(|s| if s.is_multiple_of(2) { 0.05 } else { -0.05 })
+                .collect();
+            scratch.import_lane_state(0, &state).unwrap();
+            let mut back = vec![0.0; state.len()];
+            scratch.export_lane_state(0, &mut back).unwrap();
+            let tol = match precision {
+                Precision::I32(q) => 0.5f64.powi(q.frac_bits() as i32),
+                _ => 1e-9,
+            };
+            let err = state
+                .iter()
+                .zip(&back)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f64, f64::max);
+            assert!(
+                err <= tol,
+                "small-RC order {stages} {precision}: wire round trip moved state by {err}"
             );
         }
     }
