@@ -10,21 +10,29 @@
 //! PNC_DATASETS=PowerCons,GPOVY cargo run -p ptnc-bench --release --bin ablate_design
 //! ```
 
-use adapt_pnc::eval::{evaluate, EvalCondition};
-use adapt_pnc::experiments::{prepare_split, ExperimentScale};
+use adapt_pnc::eval::{evaluate_with_runner, EvalCondition};
+use adapt_pnc::experiments::prepare_split;
 use adapt_pnc::models::FilterOrder;
 use adapt_pnc::power::model_power;
-use adapt_pnc::training::{train, TrainConfig};
+use adapt_pnc::training::{train_with_runner, TrainConfig};
 use adapt_pnc::variation::VariationConfig;
-use ptnc_bench::{mean, print_row, print_rule, selected_specs};
+use ptnc_bench::{mean, print_row, print_rule, Config};
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    eprintln!("ablate_design: scale = {scale:?}");
+    let config = Config::from_process();
+    let (scale, runner) = (config.scale, &config.runner);
+    eprintln!("ablate_design: {config}");
     let condition = EvalCondition::VariationAndPerturbed {
         config: VariationConfig::paper_default(),
         trials: scale.variation_trials,
         strength: 0.5,
+    };
+    // Trains one configuration on one benchmark and scores it.
+    let train_and_score = |spec, cfg: &TrainConfig| {
+        let split = prepare_split(spec, 0);
+        let model = train_with_runner(&split, cfg, 0, runner).model;
+        let acc = evaluate_with_runner(&model, &split.test, &condition, 0, runner);
+        (model, acc)
     };
     let base = || {
         TrainConfig::adapt_pnc(scale.hidden)
@@ -59,10 +67,8 @@ fn main() {
     ];
     for (name, cfg) in mu_variants {
         let mut scores = Vec::new();
-        for spec in selected_specs() {
-            let split = prepare_split(spec, 0);
-            let trained = train(&split, &cfg, 0);
-            scores.push(evaluate(&trained.model, &split.test, &condition, 0));
+        for spec in config.specs() {
+            scores.push(train_and_score(spec, &cfg).1);
         }
         print_row(&[name.into(), format!("{:.3}", mean(&scores))], &widths);
     }
@@ -80,11 +86,10 @@ fn main() {
         let cfg = base().to_builder().power_reg(lambda).build();
         let mut scores = Vec::new();
         let mut powers = Vec::new();
-        for spec in selected_specs() {
-            let split = prepare_split(spec, 0);
-            let trained = train(&split, &cfg, 0);
-            scores.push(evaluate(&trained.model, &split.test, &condition, 0));
-            powers.push(model_power(&trained.model, &cfg.pdk).total_mw());
+        for spec in config.specs() {
+            let (model, acc) = train_and_score(spec, &cfg);
+            scores.push(acc);
+            powers.push(model_power(&model, &cfg.pdk).total_mw());
         }
         print_row(
             &[
@@ -109,11 +114,10 @@ fn main() {
         let cfg = base().to_builder().filter_order(order).build();
         let mut scores = Vec::new();
         let mut caps = Vec::new();
-        for spec in selected_specs() {
-            let split = prepare_split(spec, 0);
-            let trained = train(&split, &cfg, 0);
-            scores.push(evaluate(&trained.model, &split.test, &condition, 0));
-            caps.push(adapt_pnc::hardware::count_devices(&trained.model).capacitors as f64);
+        for spec in config.specs() {
+            let (model, acc) = train_and_score(spec, &cfg);
+            scores.push(acc);
+            caps.push(adapt_pnc::hardware::count_devices(&model).capacitors as f64);
         }
         print_row(
             &[

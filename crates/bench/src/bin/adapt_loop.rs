@@ -40,10 +40,10 @@ use adapt_pnc::models::FilterOrder;
 use adapt_pnc::persist;
 use adapt_pnc::robustness::{drift_accuracy_curve, CurveConfig, CurvePoint};
 use adapt_pnc::serve::ServeModel;
-use adapt_pnc::training::{train, TrainConfig};
+use adapt_pnc::training::{train_with_runner, TrainConfig};
 use adapt_pnc::variation::VariationConfig;
 use ptnc_adapt::{AdaptConfig, AdaptController, DetectorConfig, RefitConfig};
-use ptnc_bench::{print_row, print_rule, with_run_manifest};
+use ptnc_bench::{or_exit, print_row, print_rule, Config, ConfigError};
 use ptnc_datasets::preprocess::Preprocess;
 use ptnc_datasets::{benchmark_by_name, Dataset, LabeledSeries};
 use ptnc_serve::{BatchConfig, ModelRegistry, ReloadOutcome, Server};
@@ -56,15 +56,6 @@ const OBS_PER_ROUND: usize = 8;
 /// Windows captured into the replay reservoir per round.
 const CAPTURE_PER_ROUND: usize = 16;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} must be an integer, got `{v}`")),
-    }
-}
-
 struct Workload {
     streams: usize,
     refit_steps: usize,
@@ -74,21 +65,21 @@ struct Workload {
 }
 
 impl Workload {
-    fn from_env() -> Self {
-        let smoke = std::env::var("PNC_SMOKE").is_ok_and(|v| v != "0");
+    fn parse(config: &Config) -> Result<Self, ConfigError> {
+        let smoke = config.smoke();
         let (streams, refit_steps, rounds, samples) = if smoke {
             (2, 60, 5, 24)
         } else {
             (4, 120, 8, 36)
         };
-        let budget_ms = env_usize("PNC_ADAPT_BUDGET_MS", 0);
-        Workload {
-            streams: env_usize("PNC_ADAPT_STREAMS", streams),
-            refit_steps: env_usize("PNC_ADAPT_REFIT_STEPS", refit_steps),
-            budget: (budget_ms > 0).then(|| Duration::from_millis(budget_ms as u64)),
+        let budget_ms: u64 = config.parse_or("PNC_ADAPT_BUDGET_MS", 0)?;
+        Ok(Workload {
+            streams: config.parse_or("PNC_ADAPT_STREAMS", streams)?,
+            refit_steps: config.parse_or("PNC_ADAPT_REFIT_STEPS", refit_steps)?,
+            budget: (budget_ms > 0).then(|| Duration::from_millis(budget_ms)),
             rounds,
             samples,
-        }
+        })
     }
 }
 
@@ -330,11 +321,12 @@ fn curve_json(curve: &[CurvePoint]) -> String {
 }
 
 fn main() {
-    with_run_manifest("adapt_loop", run);
+    let config = Config::from_process();
+    let wl = or_exit(Workload::parse(&config));
+    config.with_run_manifest("adapt_loop", || run(&config, &wl));
 }
 
-fn run() {
-    let wl = Workload::from_env();
+fn run(config: &Config, wl: &Workload) {
     eprintln!(
         "adapt_loop: {} rounds x {} samples, {} streams, {} refit steps, budget {:?}",
         wl.rounds, wl.samples, wl.streams, wl.refit_steps, wl.budget
@@ -359,7 +351,7 @@ fn run() {
         .max_epochs(120)
         .patience(20)
         .build();
-    let deployed = train(&split, &deploy_cfg, SEED).model;
+    let deployed = train_with_runner(&split, &deploy_cfg, SEED, &config.runner).model;
     let deployed_json = persist::to_json(&deployed);
     let clean_engine = ServeModel::from_live(&deployed)
         .expect("deployment compiles")
@@ -378,9 +370,9 @@ fn run() {
     // must be bit-identical however many serve workers run underneath it.
     // A wall-clock refit budget intentionally trades that determinism for
     // latency, so parity is only checked without one.
-    let adapted = run_adapted_loop(&wl, &agreement, &deployed_json, 1);
+    let adapted = run_adapted_loop(wl, &agreement, &deployed_json, 1);
     let (parity_checked, parity_ok) = if wl.budget.is_none() {
-        let across = [2, 5].map(|w| run_adapted_loop(&wl, &agreement, &deployed_json, w));
+        let across = [2, 5].map(|w| run_adapted_loop(wl, &agreement, &deployed_json, w));
         (
             true,
             across
@@ -436,7 +428,7 @@ fn run() {
     ptnc_telemetry::gauge("adapt.swaps_landed", adapted.swaps_landed as f64);
     ptnc_telemetry::gauge("adapt.non_finite_states", adapted.non_finite_states as f64);
 
-    let json_path = std::env::var("PNC_ADAPT_JSON").unwrap_or_else(|_| "BENCH_adapt.json".into());
+    let json_path = config.get("PNC_ADAPT_JSON").unwrap_or("BENCH_adapt.json");
     let json = format!(
         "{{\n  \"bench\": \"adapt_loop\",\n  \"rounds\": {},\n  \"samples\": {},\n  \"streams\": {},\n  \"refit_steps\": {},\n  \"budget_ms\": {},\n  \"frozen_curve\": {},\n  \"adapted_curve\": {},\n  \"accuracy_final_frozen\": {:.6},\n  \"accuracy_final_adapted\": {:.6},\n  \"adaptation_rounds\": {},\n  \"hot_swaps_landed\": {},\n  \"refit_steps_total\": {},\n  \"non_finite_logits\": {},\n  \"non_finite_states\": {},\n  \"hammer_served\": {},\n  \"hammer_failed\": {},\n  \"worker_parity_checked\": {},\n  \"worker_parity_ok\": {}\n}}\n",
         wl.rounds,
@@ -458,10 +450,10 @@ fn run() {
         parity_checked,
         parity_ok,
     );
-    std::fs::write(&json_path, json).unwrap_or_else(|e| panic!("write {json_path}: {e}"));
+    std::fs::write(json_path, json).unwrap_or_else(|e| panic!("write {json_path}: {e}"));
     eprintln!("wrote {json_path}");
 
-    if std::env::var("PNC_ADAPT_ENFORCE").is_ok_and(|v| v != "0") {
+    if config.flag("PNC_ADAPT_ENFORCE") {
         let mut gate_failed = false;
         if adapted_final <= frozen_final {
             eprintln!(

@@ -6,22 +6,23 @@
 //! PNC_DATASETS=CBF cargo run -p ptnc-bench --release --bin arch_search
 //! ```
 
-use adapt_pnc::experiments::{prepare_split, ExperimentScale};
+use adapt_pnc::experiments::prepare_split;
 use adapt_pnc::search::{architecture_search, pareto_front, SearchSpace};
-use ptnc_bench::{print_row, print_rule, selected_specs};
+use ptnc_bench::{print_row, print_rule, Config};
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    eprintln!("arch_search: scale = {scale:?}");
+    let cfg = Config::from_process();
+    let scale = cfg.scale;
+    eprintln!("arch_search: {cfg}");
     let space = SearchSpace::compact();
     // Search candidates train briefly; the winner would be retrained at full
     // budget in a real flow.
     let epochs = (scale.epochs / 2).max(20);
 
-    for spec in selected_specs() {
+    for spec in cfg.specs() {
         println!("## {}", spec.name);
         let split = prepare_split(spec, 0);
-        let (candidates, best) = architecture_search(&split, &space, epochs, 0);
+        let (candidates, best) = architecture_search(&split, &space, epochs, 0, &cfg.runner);
         let front = pareto_front(&candidates);
 
         let widths = [8usize, 7, 9, 9, 10, 8];

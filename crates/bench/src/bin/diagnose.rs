@@ -7,16 +7,17 @@
 //! PNC_DATASETS=CBF,GPAS cargo run -p ptnc-bench --release --bin diagnose
 //! ```
 
-use adapt_pnc::eval::{dataset_to_steps, evaluate, EvalCondition};
-use adapt_pnc::experiments::{prepare_split, ExperimentScale};
-use adapt_pnc::training::{train, TrainConfig};
+use adapt_pnc::eval::{dataset_to_steps, evaluate_with_runner, EvalCondition};
+use adapt_pnc::experiments::prepare_split;
+use adapt_pnc::training::{train_with_runner, TrainConfig};
 use adapt_pnc::variation::VariationConfig;
-use ptnc_bench::{print_row, print_rule, selected_specs};
+use ptnc_bench::{print_row, print_rule, Config};
 use ptnc_nn::metrics::ConfusionMatrix;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    eprintln!("diagnose: scale = {scale:?}");
+    let config = Config::from_process();
+    let (scale, runner) = (config.scale, &config.runner);
+    eprintln!("diagnose: {config}");
     let widths = [10usize, 10, 9, 9, 9, 9];
     print_row(
         &[
@@ -46,7 +47,7 @@ fn main() {
         },
     ];
 
-    for spec in selected_specs() {
+    for spec in config.specs() {
         let split = prepare_split(spec, 0);
         let configs = [
             (
@@ -63,12 +64,12 @@ fn main() {
             ),
         ];
         for (name, cfg) in configs {
-            let trained = train(&split, &cfg, 0);
+            let trained = train_with_runner(&split, &cfg, 0, runner);
             let mut cells = vec![spec.name.to_string(), name.to_string()];
             for cond in &conditions {
                 cells.push(format!(
                     "{:.3}",
-                    evaluate(&trained.model, &split.test, cond, 0)
+                    evaluate_with_runner(&trained.model, &split.test, cond, 0, runner)
                 ));
             }
             print_row(&cells, &widths);

@@ -8,22 +8,19 @@
 //! ```
 
 use adapt_pnc::eval::dataset_to_steps;
-use adapt_pnc::experiments::{prepare_split, ExperimentScale};
+use adapt_pnc::experiments::prepare_split;
 use adapt_pnc::faults::{yield_rate, FaultConfig};
 use adapt_pnc::parallel::ParallelRunner;
 use adapt_pnc::pdk::Pdk;
 use adapt_pnc::training::{train_with_runner, TrainConfig};
 use adapt_pnc::variation::VariationConfig;
-use ptnc_bench::{print_row, print_rule, selected_specs};
+use ptnc_bench::{print_row, print_rule, Config};
 use ptnc_tensor::init;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    let runner = ParallelRunner::from_env();
-    eprintln!(
-        "fault_yield: scale = {scale:?}, threads = {}",
-        runner.threads()
-    );
+    let cfg = Config::from_process();
+    let (scale, runner) = (cfg.scale, &cfg.runner);
+    eprintln!("fault_yield: {cfg}");
     let pdk = Pdk::paper_default();
     let trials = 20;
     // A batch instance "yields" if it keeps ≥ 90 % of the fault-free
@@ -46,7 +43,7 @@ fn main() {
     // One shared fan-out over datasets; each worker trains both models and
     // sweeps the open-defect rates with a serial inner runner, returning the
     // finished table rows for its dataset.
-    let spec_rows = runner.run(selected_specs(), |_, spec| {
+    let spec_rows = runner.run(cfg.specs(), |_, spec| {
         let inner = ParallelRunner::serial();
         let split = prepare_split(spec, 0);
         let (steps, labels) = dataset_to_steps(&split.test);

@@ -7,19 +7,16 @@
 //! ```
 
 use adapt_pnc::eval::{evaluate_with_runner, EvalCondition};
-use adapt_pnc::experiments::{prepare_split, ExperimentScale};
+use adapt_pnc::experiments::prepare_split;
 use adapt_pnc::parallel::ParallelRunner;
 use adapt_pnc::training::{train_with_runner, TrainConfig};
 use adapt_pnc::variation::VariationConfig;
-use ptnc_bench::{mean, print_row, print_rule, selected_specs};
+use ptnc_bench::{mean, print_row, print_rule, Config};
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    let runner = ParallelRunner::from_env();
-    eprintln!(
-        "fig5_baseline_variation: scale = {scale:?}, threads = {}",
-        runner.threads()
-    );
+    let cfg = Config::from_process();
+    let (scale, runner) = (cfg.scale, &cfg.runner);
+    eprintln!("fig5_baseline_variation: {cfg}");
 
     let widths = [10usize, 9, 9, 9, 9];
     print_row(
@@ -37,7 +34,7 @@ fn main() {
     let variation = VariationConfig::paper_default();
     // One shared fan-out over datasets; each worker trains the baseline and
     // scores all four conditions with a serial inner runner.
-    let per_spec = runner.run(selected_specs(), |_, spec| {
+    let per_spec = runner.run(cfg.specs(), |_, spec| {
         let inner = ParallelRunner::serial();
         let split = prepare_split(spec, 0);
         let cfg = TrainConfig::baseline_ptpnc(scale.hidden).with_epochs(scale.epochs);

@@ -8,21 +8,18 @@
 //! ```
 
 use adapt_pnc::ablation::{run_arm_with_runner, AblationArm};
-use adapt_pnc::experiments::{prepare_split, ExperimentScale};
+use adapt_pnc::experiments::prepare_split;
 use adapt_pnc::parallel::ParallelRunner;
-use ptnc_bench::{mean, print_row, print_rule, selected_specs, with_run_manifest};
+use ptnc_bench::{mean, print_row, print_rule, Config};
 
 fn main() {
-    with_run_manifest("fig7_ablation", run);
+    let cfg = Config::from_process();
+    cfg.with_run_manifest("fig7_ablation", || run(&cfg));
 }
 
-fn run() {
-    let scale = ExperimentScale::from_env();
-    let runner = ParallelRunner::from_env();
-    eprintln!(
-        "fig7_ablation: scale = {scale:?}, threads = {}",
-        runner.threads()
-    );
+fn run(cfg: &Config) {
+    let (scale, runner) = (cfg.scale, &cfg.runner);
+    eprintln!("fig7_ablation: {cfg}");
 
     let arms = AblationArm::all();
     let widths = [12usize, 12, 9, 9];
@@ -41,7 +38,7 @@ fn run() {
     // independent unit of work here. Results come back in item order, so the
     // printed table is identical for any thread count.
     let mut pairs = Vec::new();
-    for spec in selected_specs() {
+    for spec in cfg.specs() {
         for arm in arms {
             pairs.push((spec, arm));
         }

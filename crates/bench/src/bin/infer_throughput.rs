@@ -20,39 +20,13 @@
 //! graph-free path allocates per forward or the batched path falls below
 //! 1.5x autograd throughput.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use adapt_pnc::models::{FilterOrder, PrintedModel};
 use adapt_pnc::pdk::Pdk;
 use adapt_pnc::serve;
-use ptnc_bench::{print_row, print_rule, with_run_manifest};
+use ptnc_bench::{allocations, or_exit, print_row, print_rule, Config, ConfigError, CountingAlloc};
 use ptnc_tensor::{init, Tensor};
-
-/// System allocator wrapped with an allocation counter, so the harness can
-/// report per-forward allocation counts for each path.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates directly to `System`; the counter is a relaxed atomic
-// side effect and does not affect allocation behavior.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -64,25 +38,19 @@ struct Workload {
     classes: usize,
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} must be an integer, got `{v}`")),
-    }
-}
-
 impl Workload {
-    fn from_env() -> Self {
-        let smoke = std::env::var("PNC_SMOKE").is_ok_and(|v| v != "0");
-        let (seqs, steps, hidden) = if smoke { (8, 16, 4) } else { (256, 64, 16) };
-        Workload {
-            seqs: env_usize("PNC_INFER_SEQS", seqs),
-            steps: env_usize("PNC_INFER_STEPS", steps),
-            hidden: env_usize("PNC_INFER_HIDDEN", hidden),
+    fn parse(config: &Config) -> Result<Self, ConfigError> {
+        let (seqs, steps, hidden) = if config.smoke() {
+            (8, 16, 4)
+        } else {
+            (256, 64, 16)
+        };
+        Ok(Workload {
+            seqs: config.parse_or("PNC_INFER_SEQS", seqs)?,
+            steps: config.parse_or("PNC_INFER_STEPS", steps)?,
+            hidden: config.parse_or("PNC_INFER_HIDDEN", hidden)?,
             classes: 4,
-        }
+        })
     }
 }
 
@@ -101,13 +69,13 @@ fn measure(
     mut body: impl FnMut(),
 ) -> PathResult {
     body(); // warm-up: first-touch allocations (scratch, graph caches)
-    let alloc_start = ALLOCATIONS.load(Ordering::Relaxed);
+    let alloc_start = allocations();
     let clock = Instant::now();
     for _ in 0..forwards {
         body();
     }
     let elapsed = clock.elapsed().as_secs_f64().max(1e-9);
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - alloc_start;
+    let allocs = allocations() - alloc_start;
     PathResult {
         name,
         seqs_per_sec: (forwards * seqs_per_call) as f64 / elapsed,
@@ -116,11 +84,12 @@ fn measure(
 }
 
 fn main() {
-    with_run_manifest("infer_throughput", run);
+    let config = Config::from_process();
+    let wl = or_exit(Workload::parse(&config));
+    config.with_run_manifest("infer_throughput", || run(&config, &wl));
 }
 
-fn run() {
-    let wl = Workload::from_env();
+fn run(config: &Config, wl: &Workload) {
     eprintln!(
         "infer_throughput: {} seqs x {} steps, hidden {}, {} classes",
         wl.seqs, wl.steps, wl.hidden, wl.classes
@@ -233,7 +202,7 @@ fn run() {
     // optimized away.
     eprintln!("checksum: {sink:.6}");
 
-    let json_path = std::env::var("PNC_INFER_JSON").unwrap_or_else(|_| "BENCH_infer.json".into());
+    let json_path = config.get("PNC_INFER_JSON").unwrap_or("BENCH_infer.json");
     let paths_json: Vec<String> = results
         .iter()
         .map(|r| {
@@ -255,10 +224,10 @@ fn run() {
         wl.classes,
         paths_json.join(",\n"),
     );
-    std::fs::write(&json_path, json).unwrap_or_else(|e| panic!("write {json_path}: {e}"));
+    std::fs::write(json_path, json).unwrap_or_else(|e| panic!("write {json_path}: {e}"));
     eprintln!("wrote {json_path}");
 
-    if std::env::var("PNC_INFER_ENFORCE").is_ok_and(|v| v != "0") {
+    if config.flag("PNC_INFER_ENFORCE") {
         let mut gate_failed = false;
         for r in &results[1..] {
             if r.allocs_per_forward != 0.0 {

@@ -28,8 +28,6 @@
 //! requires f32 to clear 1.5x the f64 timestep throughput and the best
 //! i32 Q-format to sit within 0.5 pp of f64 mean accuracy.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use adapt_pnc::eval::dataset_to_steps;
@@ -40,47 +38,16 @@ use adapt_pnc::parallel::ParallelRunner;
 use adapt_pnc::pdk::Pdk;
 use adapt_pnc::serve::ServeModel;
 use adapt_pnc::training::{train_with_runner, TrainConfig};
-use ptnc_bench::{mean, print_row, print_rule, selected_specs, with_run_manifest};
+use ptnc_bench::{
+    allocations, mean, or_exit, print_row, print_rule, Config, ConfigError, CountingAlloc,
+};
 use ptnc_tensor::init;
-
-/// System allocator wrapped with an allocation counter, so the harness can
-/// prove every backend's steady-state forward is allocation-free.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates directly to `System`; the counter is a relaxed atomic
-// side effect and does not affect allocation behavior.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 const SEED: u64 = 0;
 const SWEEP_FRAC_BITS: [u32; 4] = [12, 16, 20, 24];
-
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} must be an integer, got `{v}`")),
-    }
-}
 
 struct Workload {
     smoke: bool,
@@ -91,26 +58,28 @@ struct Workload {
     forwards: usize,
     epochs: usize,
     datasets: usize,
+    min_agreement: f64,
 }
 
 impl Workload {
-    fn from_env() -> Self {
-        let smoke = std::env::var("PNC_SMOKE").is_ok_and(|v| v != "0");
+    fn parse(config: &Config) -> Result<Self, ConfigError> {
+        let smoke = config.smoke();
         let (batch, steps, hidden, forwards, epochs, datasets) = if smoke {
             (8, 16, 4, 8, 6, 2)
         } else {
             (32, 64, 16, 128, 80, usize::MAX)
         };
-        Workload {
+        Ok(Workload {
             smoke,
-            batch: env_usize("PNC_QUANT_BATCH", batch),
-            steps: env_usize("PNC_QUANT_STEPS", steps),
-            hidden: env_usize("PNC_QUANT_HIDDEN", hidden),
+            batch: config.parse_or("PNC_QUANT_BATCH", batch)?,
+            steps: config.parse_or("PNC_QUANT_STEPS", steps)?,
+            hidden: config.parse_or("PNC_QUANT_HIDDEN", hidden)?,
             classes: 4,
             forwards,
-            epochs: env_usize("PNC_QUANT_EPOCHS", epochs),
+            epochs: config.parse_or("PNC_QUANT_EPOCHS", epochs)?,
             datasets,
-        }
+            min_agreement: config.parse_or("PNC_QUANT_MIN_AGREEMENT", 0.90)?,
+        })
     }
 }
 
@@ -151,7 +120,7 @@ fn measure_backend(
     engine
         .run_batch_into(steps, wl.batch, &mut scratch, &mut out)
         .expect("buffers sized above"); // warm-up: first-touch allocations
-    let alloc_start = ALLOCATIONS.load(Ordering::Relaxed);
+    let alloc_start = allocations();
     let clock = Instant::now();
     for _ in 0..wl.forwards {
         engine
@@ -159,7 +128,7 @@ fn measure_backend(
             .expect("buffers sized above");
     }
     let elapsed = clock.elapsed().as_secs_f64().max(1e-9);
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - alloc_start;
+    let allocs = allocations() - alloc_start;
     let (max_abs_logit_err, argmax_agreement) = match reference {
         None => (0.0, 1.0),
         Some(base) => {
@@ -209,11 +178,12 @@ fn precisions() -> Vec<Precision> {
 }
 
 fn main() {
-    with_run_manifest("quant_sweep", run);
+    let config = Config::from_process();
+    let wl = or_exit(Workload::parse(&config));
+    config.with_run_manifest("quant_sweep", || run(&config, &wl));
 }
 
-fn run() {
-    let wl = Workload::from_env();
+fn run(config: &Config, wl: &Workload) {
     eprintln!(
         "quant_sweep: batch {} x {} steps, hidden {}, {} classes, {} epochs{}",
         wl.batch,
@@ -268,7 +238,7 @@ fn run() {
                 p.name(),
                 engine,
                 &steps,
-                &wl,
+                wl,
                 (i > 0).then_some(reference.as_slice()),
             )
         })
@@ -312,13 +282,13 @@ fn run() {
     ptnc_telemetry::gauge("quant.speedup.f32_vs_f64", f32_speedup);
 
     // ---- Phase 3: Table I accuracy under every backend -----------------
-    let specs: Vec<_> = selected_specs().into_iter().take(wl.datasets).collect();
+    let specs: Vec<_> = config.specs().into_iter().take(wl.datasets).collect();
     eprintln!(
         "quant_sweep: training {} Table I dataset(s) at {} epochs",
         specs.len(),
         wl.epochs
     );
-    let runner = ParallelRunner::from_env();
+    let runner = &config.runner;
     let cfg = TrainConfig::builder(wl.hidden)
         .filter_order(FilterOrder::Second)
         .initial_lr(0.05)
@@ -413,7 +383,7 @@ fn run() {
     ptnc_telemetry::gauge("quant.best_i32_delta_pp", best_i32_delta_pp);
 
     // ---- JSON + enforce gate -------------------------------------------
-    let json_path = std::env::var("PNC_QUANT_JSON").unwrap_or_else(|_| "BENCH_quant.json".into());
+    let json_path = config.get("PNC_QUANT_JSON").unwrap_or("BENCH_quant.json");
     let throughput_json: Vec<String> = results
         .iter()
         .map(|r| {
@@ -465,14 +435,11 @@ fn run() {
         backend_names[best_i32_idx],
         best_i32_delta_pp,
     );
-    std::fs::write(&json_path, json).unwrap_or_else(|e| panic!("write {json_path}: {e}"));
+    std::fs::write(json_path, json).unwrap_or_else(|e| panic!("write {json_path}: {e}"));
     eprintln!("wrote {json_path}");
 
-    if std::env::var("PNC_QUANT_ENFORCE").is_ok_and(|v| v != "0") {
-        let min_agreement = std::env::var("PNC_QUANT_MIN_AGREEMENT")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(0.90);
+    if config.flag("PNC_QUANT_ENFORCE") {
+        let min_agreement = wl.min_agreement;
         let mut gate_failed = false;
         for r in &results {
             if r.allocs_per_forward != 0.0 {

@@ -22,16 +22,16 @@ use adapt_pnc::persist::save_json_atomic;
 use adapt_pnc::prelude::*;
 use adapt_pnc::robustness::to_jsonl;
 use adapt_pnc::{experiments, robustness};
-use ptnc_bench::{print_row, print_rule, selected_specs, with_run_manifest};
+use ptnc_bench::{print_row, print_rule, Config};
 
 fn main() {
-    with_run_manifest("sensor_robustness", run);
+    let cfg = Config::from_process();
+    cfg.with_run_manifest("sensor_robustness", || run(&cfg));
 }
 
-fn run() {
-    let smoke = std::env::var("PNC_SMOKE").is_ok_and(|v| v != "0");
-    let scale = experiments::ExperimentScale::from_env();
-    let spec = selected_specs()[0];
+fn run(cfg: &Config) {
+    let (smoke, scale, runner) = (cfg.smoke(), cfg.scale, &cfg.runner);
+    let spec = cfg.specs()[0];
     let seed = 0u64;
     eprintln!(
         "sensor_robustness: {} (hidden {}, {} epochs{})",
@@ -43,17 +43,16 @@ fn run() {
 
     let split = experiments::prepare_split(spec, seed);
     let epochs = if smoke { 40 } else { scale.epochs };
-    let runner = ParallelRunner::from_env();
     let configs = [
         ("baseline_ptpnc", TrainConfig::baseline_ptpnc(scale.hidden)),
         ("adapt_pnc", TrainConfig::adapt_pnc(scale.hidden)),
     ];
     let mut models = Vec::new();
     for (name, config) in configs {
-        let trained = train_with_runner(&split, &config.with_epochs(epochs), seed, &runner);
+        let trained = train_with_runner(&split, &config.with_epochs(epochs), seed, runner);
         eprintln!("  {name}: val accuracy {:.3}", trained.val_accuracy);
-        if let Ok(dir) = std::env::var("PNC_SAVE_MODELS") {
-            let dir = std::path::Path::new(&dir);
+        if let Some(dir) = cfg.get("PNC_SAVE_MODELS") {
+            let dir = std::path::Path::new(dir);
             std::fs::create_dir_all(dir).expect("creating model directory");
             let path = dir.join(format!("{name}.json"));
             save_json_atomic(&trained.model, &path)
@@ -66,15 +65,15 @@ fn run() {
         models.push((name.to_string(), engine));
     }
 
-    let mut cfg = if smoke {
+    let mut fault_cfg = if smoke {
         robustness::RobustnessConfig::smoke()
     } else {
         robustness::RobustnessConfig::paper_default()
     };
-    cfg.trials = if smoke { 2 } else { scale.variation_trials };
-    cfg.seed = seed;
+    fault_cfg.trials = if smoke { 2 } else { scale.variation_trials };
+    fault_cfg.seed = seed;
 
-    let points = robustness::sensor_fault_sweep(&models, &split.test, &cfg, &runner);
+    let points = robustness::sensor_fault_sweep(&models, &split.test, &fault_cfg, runner);
 
     let widths = [16usize, 18, 9, 8, 11, 9, 9, 8];
     print_row(
@@ -120,13 +119,13 @@ fn run() {
         "({} grid points; guarded path = {:?} policy, range [{}, {}]; \
          severity is the drift rate for conductance_drift rows)",
         points.len(),
-        cfg.guard.policy,
-        cfg.guard.lo,
-        cfg.guard.hi
+        fault_cfg.guard.policy,
+        fault_cfg.guard.lo,
+        fault_cfg.guard.hi
     );
 
-    if let Ok(path) = std::env::var("PNC_ROBUSTNESS_OUT") {
-        adapt_pnc::persist::write_atomic(std::path::Path::new(&path), to_jsonl(&points).as_bytes())
+    if let Some(path) = cfg.get("PNC_ROBUSTNESS_OUT") {
+        adapt_pnc::persist::write_atomic(std::path::Path::new(path), to_jsonl(&points).as_bytes())
             .unwrap_or_else(|e| panic!("writing {path}: {e}"));
         eprintln!("wrote {} degradation-curve points to {path}", points.len());
     }

@@ -30,7 +30,6 @@
 //! spans/gauges go to the `serve` telemetry scope when
 //! `PNC_TELEMETRY=<path>` is set.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,48 +37,15 @@ use std::time::{Duration, Instant};
 use adapt_pnc::models::PrintedModel;
 use adapt_pnc::persist;
 use adapt_pnc::serve::ServeModel;
-use ptnc_bench::{print_row, print_rule, with_run_manifest};
+use ptnc_bench::{allocations, or_exit, print_row, print_rule, Config, ConfigError, CountingAlloc};
 use ptnc_serve::{
     BatchConfig, MicroBatcher, ModelRegistry, ReloadOutcome, ReloadPolicy, Server, ServingError,
     SessionId,
 };
 use ptnc_tensor::init;
 
-/// System allocator wrapped with an allocation counter, so the harness can
-/// report per-request and per-forward allocation counts.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates directly to `System`; the counter is a relaxed atomic
-// side effect and does not affect allocation behavior.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} must be an integer, got `{v}`")),
-    }
-}
 
 const DIM: usize = 3;
 const CLASSES: usize = 4;
@@ -99,23 +65,23 @@ struct Workload {
 }
 
 impl Workload {
-    fn from_env() -> Self {
-        let smoke = std::env::var("PNC_SMOKE").is_ok_and(|v| v != "0");
+    fn parse(config: &Config) -> Result<Self, ConfigError> {
+        let smoke = config.smoke();
         let (streams, requests, steps, hidden, sessions, session_chunks) = if smoke {
             (4, 32, 24, 4, 2_000, 2)
         } else {
             (8, 200, 64, 6, 100_000, 3)
         };
-        Workload {
-            streams: env_usize("PNC_SERVE_STREAMS", streams),
-            requests: env_usize("PNC_SERVE_REQUESTS", requests),
-            steps: env_usize("PNC_SERVE_STEPS", steps),
-            window_micros: env_usize("PNC_SERVE_BATCH_WINDOW", 200),
-            hidden: env_usize("PNC_SERVE_HIDDEN", hidden),
-            sessions: env_usize("PNC_SERVE_SESSIONS", sessions),
-            session_chunks: env_usize("PNC_SERVE_SESSION_CHUNKS", session_chunks),
-            chunk_steps: env_usize("PNC_SERVE_CHUNK_STEPS", 8),
-        }
+        Ok(Workload {
+            streams: config.parse_or("PNC_SERVE_STREAMS", streams)?,
+            requests: config.parse_or("PNC_SERVE_REQUESTS", requests)?,
+            steps: config.parse_or("PNC_SERVE_STEPS", steps)?,
+            window_micros: config.parse_or("PNC_SERVE_BATCH_WINDOW", 200)?,
+            hidden: config.parse_or("PNC_SERVE_HIDDEN", hidden)?,
+            sessions: config.parse_or("PNC_SERVE_SESSIONS", sessions)?,
+            session_chunks: config.parse_or("PNC_SERVE_SESSION_CHUNKS", session_chunks)?,
+            chunk_steps: config.parse_or("PNC_SERVE_CHUNK_STEPS", 8)?,
+        })
     }
 }
 
@@ -149,11 +115,11 @@ fn forward_allocs(engine: &adapt_pnc::infer::InferModel, cfg: &BatchConfig, t: u
         assert!(mb.lane_logits(0).iter().all(|v| v.is_finite()));
     };
     round(&mut mb); // warm-up
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..ROUNDS {
         round(&mut mb);
     }
-    (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / ROUNDS as f64
+    (allocations() - before) as f64 / ROUNDS as f64
 }
 
 /// Steady-state allocations per resident-session round (`begin →
@@ -182,11 +148,11 @@ fn session_forward_allocs(
         assert!(mb.lane_logits(0).iter().all(|v| v.is_finite()));
     };
     round(&mut mb, &mut sessions); // warm-up
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..ROUNDS {
         round(&mut mb, &mut sessions);
     }
-    (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / ROUNDS as f64
+    (allocations() - before) as f64 / ROUNDS as f64
 }
 
 struct LoadResult {
@@ -204,7 +170,7 @@ struct LoadResult {
 fn drive_load(server: &Server, reg: &Arc<ModelRegistry>, wl: &Workload) -> LoadResult {
     let completed = Arc::new(AtomicU64::new(0));
     let failed = Arc::new(AtomicU64::new(0));
-    let alloc_start = ALLOCATIONS.load(Ordering::Relaxed);
+    let alloc_start = allocations();
     let start = Instant::now();
     std::thread::scope(|scope| {
         for s in 0..wl.streams {
@@ -223,7 +189,7 @@ fn drive_load(server: &Server, reg: &Arc<ModelRegistry>, wl: &Workload) -> LoadR
         }
     });
     let elapsed = start.elapsed();
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - alloc_start;
+    let allocs = allocations() - alloc_start;
 
     // Hot swaps under a fresh burst of the same traffic.
     let mut swap_reports = Vec::new();
@@ -300,7 +266,7 @@ fn drive_sessions(server: &Server, wl: &Workload) -> Option<SessionLoad> {
 
     let completed = AtomicU64::new(0);
     let failed = AtomicU64::new(0);
-    let alloc_start = ALLOCATIONS.load(Ordering::Relaxed);
+    let alloc_start = allocations();
     let start = Instant::now();
     let shard_len = ids.len().div_ceil(wl.streams.max(1));
     std::thread::scope(|scope| {
@@ -342,7 +308,7 @@ fn drive_sessions(server: &Server, wl: &Workload) -> Option<SessionLoad> {
         }
     });
     let elapsed = start.elapsed();
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - alloc_start;
+    let allocs = allocations() - alloc_start;
     let done = completed.load(Ordering::Relaxed);
 
     // Parity spot-check against the server's own one-shot path (both run
@@ -382,11 +348,12 @@ fn drive_sessions(server: &Server, wl: &Workload) -> Option<SessionLoad> {
 }
 
 fn main() {
-    with_run_manifest("serve_throughput", run);
+    let config = Config::from_process();
+    let wl = or_exit(Workload::parse(&config));
+    config.with_run_manifest("serve_throughput", || run(&config, &wl));
 }
 
-fn run() {
-    let wl = Workload::from_env();
+fn run(config: &Config, wl: &Workload) {
     eprintln!(
         "serve_throughput: {} streams x {} requests x {} steps, hidden {}, window {}µs, \
          {} sessions x {} chunks x {} steps",
@@ -424,8 +391,8 @@ fn run() {
     drop(direct);
 
     let server = Server::start(Arc::clone(&reg), cfg).expect("start server");
-    let load = drive_load(&server, &reg, &wl);
-    let sessions = drive_sessions(&server, &wl);
+    let load = drive_load(&server, &reg, wl);
+    let sessions = drive_sessions(&server, wl);
 
     let timesteps = load.completed * wl.steps as u64;
     let timesteps_per_sec = timesteps as f64 / load.elapsed.as_secs_f64().max(1e-9);
@@ -517,7 +484,7 @@ fn run() {
     }
     server.stats().emit_telemetry();
 
-    let json_path = std::env::var("PNC_SERVE_JSON").unwrap_or_else(|_| "BENCH_serve.json".into());
+    let json_path = config.get("PNC_SERVE_JSON").unwrap_or("BENCH_serve.json");
     let sessions_json = match &sessions {
         None => "null".to_string(),
         Some(sl) => {
@@ -563,13 +530,13 @@ fn run() {
         swap_worst,
         sessions_json,
     );
-    std::fs::write(&json_path, json).unwrap_or_else(|e| panic!("write {json_path}: {e}"));
+    std::fs::write(json_path, json).unwrap_or_else(|e| panic!("write {json_path}: {e}"));
     eprintln!("wrote {json_path}");
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 
-    if std::env::var("PNC_SERVE_ENFORCE").is_ok_and(|v| v != "0") {
+    if config.flag("PNC_SERVE_ENFORCE") {
         let mut gate_failed = false;
         if allocs_per_forward != 0.0 {
             eprintln!("PNC_SERVE_ENFORCE: batched forward allocates ({allocs_per_forward:.2}/forward) — failing");

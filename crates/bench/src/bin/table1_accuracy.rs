@@ -7,21 +7,18 @@
 //! PNC_SEEDS=10 PNC_EPOCHS=400 cargo run ... # closer to paper fidelity
 //! ```
 
-use adapt_pnc::experiments::{table1_row_with_runner, ExperimentScale};
+use adapt_pnc::experiments::table1_row_with_runner;
 use adapt_pnc::parallel::ParallelRunner;
-use ptnc_bench::{fmt_pm, mean, print_row, print_rule, selected_specs, with_run_manifest};
+use ptnc_bench::{fmt_pm, mean, print_row, print_rule, Config};
 
 fn main() {
-    with_run_manifest("table1_accuracy", run);
+    let cfg = Config::from_process();
+    cfg.with_run_manifest("table1_accuracy", || run(&cfg));
 }
 
-fn run() {
-    let scale = ExperimentScale::from_env();
-    let runner = ParallelRunner::from_env();
-    eprintln!(
-        "table1_accuracy: scale = {scale:?}, threads = {}",
-        runner.threads()
-    );
+fn run(cfg: &Config) {
+    let (scale, runner) = (cfg.scale, &cfg.runner);
+    eprintln!("table1_accuracy: {cfg}");
 
     let widths = [10usize, 16, 16, 16];
     print_row(
@@ -46,7 +43,7 @@ fn run() {
     // tuning, evaluation) with a serial inner runner. Rows come back in
     // dataset order, so the table — and the numbers — are thread-count
     // independent.
-    let rows = runner.run(selected_specs(), |_, spec| {
+    let rows = runner.run(cfg.specs(), |_, spec| {
         table1_row_with_runner(spec, &scale, &ParallelRunner::serial())
     });
 

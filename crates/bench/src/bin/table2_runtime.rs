@@ -18,16 +18,17 @@
 use std::time::Instant;
 
 use adapt_pnc::eval::dataset_to_steps;
-use adapt_pnc::experiments::{prepare_split, ExperimentScale};
+use adapt_pnc::experiments::prepare_split;
 use adapt_pnc::models::PrintedModel;
-use adapt_pnc::training::{train, train_elman, TrainConfig};
-use ptnc_bench::{mean, print_row, print_rule, selected_specs};
+use adapt_pnc::training::{train_elman_with_runner, train_with_runner, TrainConfig};
+use ptnc_bench::{mean, print_row, print_rule, Config};
 use ptnc_nn::timing;
 use ptnc_tensor::init;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    eprintln!("table2_runtime: scale = {scale:?}");
+    let cfg = Config::from_process();
+    let (scale, runner) = (cfg.scale, &cfg.runner);
+    eprintln!("table2_runtime: {cfg}");
     // A handful of epochs is enough to time a steady-state epoch.
     let timing_epochs = 10;
 
@@ -38,25 +39,26 @@ fn main() {
     let mut base_infer = Vec::new();
     let mut adapt_infer = Vec::new();
 
-    for spec in selected_specs() {
+    for spec in cfg.specs() {
         let split = prepare_split(spec, 0);
         let (steps, _labels) = dataset_to_steps(&split.test);
 
         // --- per-epoch training cost (trainer epoch clock) ------------
         timing::begin_capture();
-        let (elman, _) = train_elman(&split, scale.hidden, timing_epochs, 0);
+        let (elman, _) = train_elman_with_runner(&split, scale.hidden, timing_epochs, 0, runner);
         elman_train.push(timing::end_capture().seconds_per_epoch());
 
         timing::begin_capture();
-        let base = train(
+        let base = train_with_runner(
             &split,
             &TrainConfig::baseline_ptpnc(scale.hidden).with_epochs(timing_epochs),
             0,
+            runner,
         );
         base_train.push(timing::end_capture().seconds_per_epoch());
 
         timing::begin_capture();
-        let adapt = train(
+        let adapt = train_with_runner(
             &split,
             &TrainConfig::adapt_pnc(scale.hidden)
                 .with_epochs(timing_epochs)
@@ -64,6 +66,7 @@ fn main() {
                 .mc_samples(scale.mc_samples)
                 .build(),
             0,
+            runner,
         );
         adapt_train.push(timing::end_capture().seconds_per_epoch());
 

@@ -6,15 +6,16 @@
 //! cargo run -p ptnc-bench --release --bin table3_hardware
 //! ```
 
-use adapt_pnc::experiments::{prepare_split, ExperimentScale};
+use adapt_pnc::experiments::prepare_split;
 use adapt_pnc::hardware::{count_devices, HardwareReport};
 use adapt_pnc::power::model_power;
-use adapt_pnc::training::{train, TrainConfig};
-use ptnc_bench::{print_row, print_rule, selected_specs};
+use adapt_pnc::training::{train_with_runner, TrainConfig};
+use ptnc_bench::{print_row, print_rule, Config};
 
 fn main() {
-    let scale = ExperimentScale::from_env();
-    eprintln!("table3_hardware: scale = {scale:?}");
+    let cfg = Config::from_process();
+    let (scale, runner) = (cfg.scale, &cfg.runner);
+    eprintln!("table3_hardware: {cfg}");
     let pdk = adapt_pnc::pdk::Pdk::paper_default();
 
     let widths = [10usize, 9, 9, 9, 9, 9, 9, 11, 11, 11, 11];
@@ -37,14 +38,15 @@ fn main() {
     print_rule(&widths);
 
     let mut reports = Vec::new();
-    for spec in selected_specs() {
+    for spec in cfg.specs() {
         let split = prepare_split(spec, 0);
-        let base = train(
+        let base = train_with_runner(
             &split,
             &TrainConfig::baseline_ptpnc(scale.hidden).with_epochs(scale.epochs),
             0,
+            runner,
         );
-        let prop = train(
+        let prop = train_with_runner(
             &split,
             &TrainConfig::adapt_pnc(scale.hidden)
                 .with_epochs(scale.epochs)
@@ -52,6 +54,7 @@ fn main() {
                 .mc_samples(scale.mc_samples)
                 .build(),
             0,
+            runner,
         );
         let report = HardwareReport {
             dataset: spec.name.to_string(),

@@ -23,49 +23,13 @@
 //! `BENCH_train.json`); spans/gauges go to the `train` telemetry scope when
 //! `PNC_TELEMETRY=<path>` is set.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use adapt_pnc::prelude::*;
-use ptnc_bench::{print_row, print_rule, with_run_manifest};
+use ptnc_bench::{allocations, or_exit, print_row, print_rule, Config, ConfigError, CountingAlloc};
 use ptnc_nn::timing;
 use ptnc_tensor::pool;
 
-/// System allocator wrapped with an allocation counter, so the harness can
-/// report per-step allocation counts for each path.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates directly to `System`; the counter is a relaxed atomic
-// side effect and does not affect allocation behavior.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} must be an integer, got `{v}`")),
-    }
-}
 
 struct Workload {
     dataset: String,
@@ -75,15 +39,18 @@ struct Workload {
 }
 
 impl Workload {
-    fn from_env() -> Self {
-        let smoke = std::env::var("PNC_SMOKE").is_ok_and(|v| v != "0");
+    fn parse(config: &Config) -> Result<Self, ConfigError> {
+        let smoke = config.smoke();
         let (epochs, mc, hidden) = if smoke { (4, 2, 4) } else { (12, 4, 6) };
-        Workload {
-            dataset: std::env::var("PNC_TRAIN_DATASET").unwrap_or_else(|_| "Slope".into()),
-            epochs: env_usize("PNC_TRAIN_EPOCHS", epochs),
-            mc_samples: env_usize("PNC_TRAIN_MC", mc),
-            hidden: env_usize("PNC_TRAIN_HIDDEN", hidden),
-        }
+        Ok(Workload {
+            dataset: config
+                .get("PNC_TRAIN_DATASET")
+                .unwrap_or("Slope")
+                .to_string(),
+            epochs: config.parse_or("PNC_TRAIN_EPOCHS", epochs)?,
+            mc_samples: config.parse_or("PNC_TRAIN_MC", mc)?,
+            hidden: config.parse_or("PNC_TRAIN_HIDDEN", hidden)?,
+        })
     }
 }
 
@@ -117,11 +84,11 @@ fn measure(
     let runner = ParallelRunner::serial();
     let _ = train_with_runner(split, &cfg(1), 0, &runner); // warm-up
 
-    let alloc_start = ALLOCATIONS.load(Ordering::Relaxed);
+    let alloc_start = allocations();
     timing::begin_capture();
     let out = train_with_runner(split, &cfg(wl.epochs), 0, &runner);
     let cap = timing::end_capture();
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - alloc_start;
+    let allocs = allocations() - alloc_start;
 
     // One "step" = one Monte-Carlo forward/backward on the training set.
     let steps = (cap.epochs * wl.mc_samples).max(1);
@@ -135,11 +102,12 @@ fn measure(
 }
 
 fn main() {
-    with_run_manifest("train_throughput", run);
+    let config = Config::from_process();
+    let wl = or_exit(Workload::parse(&config));
+    config.with_run_manifest("train_throughput", || run(&config, &wl));
 }
 
-fn run() {
-    let wl = Workload::from_env();
+fn run(config: &Config, wl: &Workload) {
     eprintln!(
         "train_throughput: {} — {} epochs x {} MC samples, hidden {}",
         wl.dataset, wl.epochs, wl.mc_samples, wl.hidden
@@ -152,9 +120,9 @@ fn run() {
         ds.shuffle_split(0.6, 0.2, 0)
     };
 
-    let unfused_malloc = measure("unfused+malloc", &split, &wl, false, false);
-    let unfused_pool = measure("unfused+pool", &split, &wl, false, true);
-    let fused_pool = measure("fused+pool", &split, &wl, true, true);
+    let unfused_malloc = measure("unfused+malloc", &split, wl, false, false);
+    let unfused_pool = measure("unfused+pool", &split, wl, false, true);
+    let fused_pool = measure("fused+pool", &split, wl, true, true);
     pool::set_enabled(true); // restore the default for anything after us
 
     // The whole point of the fused tape is that it changes *nothing* but the
@@ -207,7 +175,7 @@ fn run() {
     );
     println!("(single-thread Monte-Carlo; all paths verified bit-identical)");
 
-    let json_path = std::env::var("PNC_TRAIN_JSON").unwrap_or_else(|_| "BENCH_train.json".into());
+    let json_path = config.get("PNC_TRAIN_JSON").unwrap_or("BENCH_train.json");
     let path_json = |r: &PathResult| {
         format!(
             "{{\"path\": \"{}\", \"epochs_per_sec\": {:.3}, \"steps_per_sec\": {:.3}, \"allocs_per_step\": {:.1}}}",
@@ -226,10 +194,10 @@ fn run() {
         speedup,
         alloc_reduction,
     );
-    std::fs::write(&json_path, json).unwrap_or_else(|e| panic!("write {json_path}: {e}"));
+    std::fs::write(json_path, json).unwrap_or_else(|e| panic!("write {json_path}: {e}"));
     eprintln!("wrote {json_path}");
 
-    if std::env::var("PNC_TRAIN_ENFORCE").is_ok_and(|v| v != "0") && speedup < 1.0 {
+    if config.flag("PNC_TRAIN_ENFORCE") && speedup < 1.0 {
         eprintln!(
             "PNC_TRAIN_ENFORCE: fused+pool ({:.2} steps/sec) slower than unfused+malloc ({:.2}) — failing",
             fused_pool.steps_per_sec, base

@@ -8,23 +8,20 @@
 //! ```
 
 use adapt_pnc::eval::{evaluate_with_runner, EvalCondition};
-use adapt_pnc::experiments::{prepare_split, ExperimentScale};
+use adapt_pnc::experiments::prepare_split;
 use adapt_pnc::parallel::ParallelRunner;
 use adapt_pnc::training::{train_with_runner, TrainConfig};
 use adapt_pnc::variation::VariationConfig;
-use ptnc_bench::{mean, print_row, print_rule, selected_specs, with_run_manifest};
+use ptnc_bench::{mean, print_row, print_rule, Config};
 
 fn main() {
-    with_run_manifest("variation_sweep", run);
+    let cfg = Config::from_process();
+    cfg.with_run_manifest("variation_sweep", || run(&cfg));
 }
 
-fn run() {
-    let scale = ExperimentScale::from_env();
-    let runner = ParallelRunner::from_env();
-    eprintln!(
-        "variation_sweep: scale = {scale:?}, threads = {}",
-        runner.threads()
-    );
+fn run(cfg: &Config) {
+    let (scale, runner) = (cfg.scale, &cfg.runner);
+    eprintln!("variation_sweep: {cfg}");
     let deltas = [0.0, 0.05, 0.10, 0.20, 0.30];
 
     let mut header = vec!["model".to_string()];
@@ -42,7 +39,7 @@ fn run() {
     // One shared fan-out over datasets; each worker trains both models and
     // sweeps every delta with a serial inner runner, returning a
     // `[model][delta]` accuracy grid.
-    let grids = runner.run(selected_specs(), |_, spec| {
+    let grids = runner.run(cfg.specs(), |_, spec| {
         let inner = ParallelRunner::serial();
         let split = prepare_split(spec, 0);
         let models = [

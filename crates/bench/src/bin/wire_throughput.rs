@@ -32,22 +32,13 @@ use std::time::{Duration, Instant};
 
 use adapt_pnc::models::PrintedModel;
 use adapt_pnc::persist;
-use ptnc_bench::{print_row, print_rule, with_run_manifest};
+use ptnc_bench::{or_exit, print_row, print_rule, Config, ConfigError};
 use ptnc_serve::{BatchConfig, ModelRegistry, Server};
 use ptnc_tensor::init;
 use ptnc_wire::{
     ChaosConfig, ChaosProxy, Endpoint, FaultKind, WireClient, WireClientConfig, WireServer,
     WireServerConfig,
 };
-
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} must be an integer, got `{v}`")),
-    }
-}
 
 const DIM: usize = 3;
 const CLASSES: usize = 4;
@@ -66,16 +57,16 @@ struct Workload {
 }
 
 impl Workload {
-    fn from_env() -> Self {
-        let smoke = std::env::var("PNC_SMOKE").is_ok_and(|v| v != "0");
+    fn parse(config: &Config) -> Result<Self, ConfigError> {
+        let smoke = config.smoke();
         let (streams, requests, steps) = if smoke { (2, 24, 12) } else { (4, 150, 32) };
-        Workload {
-            streams: env_usize("PNC_WIRE_STREAMS", streams),
-            requests: env_usize("PNC_WIRE_REQUESTS", requests),
-            steps: env_usize("PNC_WIRE_STEPS", steps),
-            chaos_pct: env_usize("PNC_WIRE_CHAOS_PCT", 10),
-            seed: env_usize("PNC_WIRE_SEED", 0xC4A0) as u64,
-        }
+        Ok(Workload {
+            streams: config.parse_or("PNC_WIRE_STREAMS", streams)?,
+            requests: config.parse_or("PNC_WIRE_REQUESTS", requests)?,
+            steps: config.parse_or("PNC_WIRE_STEPS", steps)?,
+            chaos_pct: config.parse_or("PNC_WIRE_CHAOS_PCT", 10)?,
+            seed: config.parse_or("PNC_WIRE_SEED", 0xC4A0)?,
+        })
     }
 }
 
@@ -192,11 +183,12 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
 }
 
 fn main() {
-    with_run_manifest("wire_throughput", run);
+    let config = Config::from_process();
+    let wl = or_exit(Workload::parse(&config));
+    config.with_run_manifest("wire_throughput", || run(&config, &wl));
 }
 
-fn run() {
-    let wl = Workload::from_env();
+fn run(config: &Config, wl: &Workload) {
     let severity = wl.chaos_pct as f64 / 100.0;
     eprintln!(
         "wire_throughput: {} streams x {} requests x {} steps, chaos severity {:.2}, seed {:#x}",
@@ -242,7 +234,7 @@ fn run() {
     .expect("bind wire server");
 
     // Phase 1: clean network, straight at the server.
-    let clean = drive(&server, wire.endpoint(), &wl);
+    let clean = drive(&server, wire.endpoint(), wl);
     let clean_stats = wire.stats();
 
     // Phase 2: same load through the chaos proxy, all fault kinds.
@@ -256,7 +248,7 @@ fn run() {
         },
     )
     .expect("start chaos proxy");
-    let chaos = drive(&server, proxy.endpoint(), &wl);
+    let chaos = drive(&server, proxy.endpoint(), wl);
     let chaos_faults = proxy.stats();
     proxy.shutdown();
     let all_stats = wire.stats();
@@ -333,7 +325,7 @@ fn run() {
     ptnc_telemetry::gauge("wire.crc_rejected", all_stats.crc_rejected as f64);
     server.stats().emit_telemetry();
 
-    let json_path = std::env::var("PNC_WIRE_JSON").unwrap_or_else(|_| "BENCH_wire.json".into());
+    let json_path = config.get("PNC_WIRE_JSON").unwrap_or("BENCH_wire.json");
     let json = format!(
         "{{\n  \"bench\": \"wire_throughput\",\n  \"streams\": {},\n  \"requests_per_stream\": {},\n  \"steps_per_request\": {},\n  \"chaos_severity_pct\": {},\n  \"seed\": {},\n  \"clean\": {{\n    \"ok\": {},\n    \"typed_errors\": {},\n    \"requests_per_sec\": {:.3},\n    \"timesteps_per_sec\": {:.1},\n    \"latency_p50_micros\": {},\n    \"latency_p99_micros\": {},\n    \"frames_read\": {},\n    \"frames_written\": {}\n  }},\n  \"chaos\": {{\n    \"ok\": {},\n    \"typed_errors\": {},\n    \"recovery_rate\": {:.4},\n    \"latency_p50_micros\": {},\n    \"latency_p99_micros\": {},\n    \"retries\": {},\n    \"reconnects\": {},\n    \"faults_injected\": {},\n    \"delays\": {},\n    \"splits\": {},\n    \"corruptions\": {},\n    \"truncations\": {},\n    \"duplicates\": {},\n    \"drops\": {}\n  }},\n  \"crc_rejected\": {},\n  \"protocol_errors\": {},\n  \"deadline_closes\": {},\n  \"parity_failures\": {},\n  \"liveness_violations\": {}\n}}\n",
         wl.streams,
@@ -369,12 +361,12 @@ fn run() {
         clean.parity_failures + chaos.parity_failures,
         clean.liveness_violations + chaos.liveness_violations,
     );
-    std::fs::write(&json_path, json).unwrap_or_else(|e| panic!("write {json_path}: {e}"));
+    std::fs::write(json_path, json).unwrap_or_else(|e| panic!("write {json_path}: {e}"));
     eprintln!("wrote {json_path}");
 
     let _ = std::fs::remove_dir_all(&dir);
 
-    if std::env::var("PNC_WIRE_ENFORCE").is_ok_and(|v| v != "0") {
+    if config.flag("PNC_WIRE_ENFORCE") {
         let mut gate_failed = false;
         if clean.ok != total || clean.typed_errors > 0 {
             eprintln!(

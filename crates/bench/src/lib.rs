@@ -2,13 +2,19 @@
 //! tables and figures.
 //!
 //! Each binary prints its table/figure data to stdout in the paper's row
-//! order. Fidelity is controlled by the `PNC_*` environment variables
-//! documented in [`adapt_pnc::experiments::ExperimentScale`]; additionally
-//! `PNC_DATASETS` (comma-separated names) restricts the benchmark list and
+//! order. Fidelity is controlled by the `PNC_*` environment variables,
+//! parsed once at startup by [`config::Config`]; `PNC_DATASETS`
+//! (comma-separated names) restricts the benchmark list and
 //! `PNC_TELEMETRY=<path>` dumps a run-manifest JSONL (see
 //! [`with_run_manifest`]).
 
+pub mod alloc;
+pub mod config;
+
 use ptnc_datasets::{all_specs, BenchmarkSpec};
+
+pub use alloc::{allocations, CountingAlloc};
+pub use config::{or_exit, Config, ConfigError};
 
 /// Formats `mean ± std` like the paper's tables.
 pub fn fmt_pm(mean: f64, std: f64) -> String {
@@ -31,12 +37,12 @@ pub fn print_rule(widths: &[usize]) {
     println!("{}", "-".repeat(total));
 }
 
-/// The benchmark list, optionally filtered by the `PNC_DATASETS`
-/// environment variable (comma-separated paper names).
-pub fn selected_specs() -> Vec<&'static BenchmarkSpec> {
-    match std::env::var("PNC_DATASETS") {
-        Err(_) => all_specs().iter().collect(),
-        Ok(filter) => {
+/// The benchmark list, optionally filtered by comma-separated paper names
+/// (matched case-insensitively).
+pub fn selected_specs(filter: Option<&str>) -> Vec<&'static BenchmarkSpec> {
+    match filter {
+        None => all_specs().iter().collect(),
+        Some(filter) => {
             let wanted: Vec<&str> = filter.split(',').map(str::trim).collect();
             all_specs()
                 .iter()
@@ -56,42 +62,32 @@ pub fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Runs an experiment binary's body under a telemetry scope when
-/// `PNC_TELEMETRY=<path>` is set, writing a run-manifest JSONL to `path`:
-/// a `run` header span (binary name plus the `PNC_*` knobs in effect)
-/// followed by every event the run emitted, in deterministic order.
+/// Runs an experiment binary's body under a telemetry scope when `path`
+/// is set, writing a run-manifest JSONL there: the `header` span (see
+/// [`Config::run_header`]) followed by every event the run emitted, in
+/// deterministic order.
 ///
-/// Without the variable the body runs with telemetry disabled and nothing
-/// is written.
+/// Without a path the body runs with telemetry disabled and nothing is
+/// written.
 ///
 /// # Panics
 ///
 /// Panics if the manifest file cannot be written.
-pub fn with_run_manifest<R>(bin: &str, body: impl FnOnce() -> R) -> R {
-    let Ok(path) = std::env::var("PNC_TELEMETRY") else {
+pub fn with_run_manifest<R>(
+    path: Option<&str>,
+    header: ptnc_telemetry::Event,
+    body: impl FnOnce() -> R,
+) -> R {
+    let Some(path) = path else {
         return body();
     };
     let (result, events) = ptnc_telemetry::collect(body);
-    let mut manifest = vec![run_header(bin)];
+    let mut manifest = vec![header];
     manifest.extend(events);
-    ptnc_telemetry::write_jsonl(&path, &manifest)
+    ptnc_telemetry::write_jsonl(path, &manifest)
         .unwrap_or_else(|e| panic!("writing telemetry manifest {path}: {e}"));
-    eprintln!(
-        "[{bin}] wrote {} telemetry events to {path}",
-        manifest.len()
-    );
+    eprintln!("wrote {} telemetry events to {path}", manifest.len());
     result
-}
-
-/// The `run` header event: binary name and the fidelity knobs in effect.
-fn run_header(bin: &str) -> ptnc_telemetry::Event {
-    let mut event = ptnc_telemetry::Event::new(ptnc_telemetry::Kind::Span, "run").field("bin", bin);
-    for knob in ["PNC_DATASETS", "PNC_EPOCHS", "PNC_SEEDS", "PNC_THREADS"] {
-        if let Ok(v) = std::env::var(knob) {
-            event = event.field(knob.to_ascii_lowercase(), v);
-        }
-    }
-    event
 }
 
 #[cfg(test)]
@@ -105,10 +101,10 @@ mod tests {
 
     #[test]
     fn all_specs_selected_without_filter() {
-        // The test environment does not set PNC_DATASETS.
-        if std::env::var("PNC_DATASETS").is_err() {
-            assert_eq!(selected_specs().len(), 15);
-        }
+        assert_eq!(selected_specs(None).len(), 15);
+        let picked = selected_specs(Some("cbf, SLOPE ,nope"));
+        let names: Vec<&str> = picked.iter().map(|s| s.name).collect();
+        assert_eq!(names.len(), 2, "{names:?}");
     }
 
     #[test]
@@ -116,26 +112,27 @@ mod tests {
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
     }
 
+    fn header() -> ptnc_telemetry::Event {
+        ptnc_telemetry::Event::new(ptnc_telemetry::Kind::Span, "run").field("bin", "test_bin")
+    }
+
     #[test]
     fn manifest_disabled_without_env_var() {
-        // The test environment does not set PNC_TELEMETRY: the body runs
-        // with telemetry off and nothing is written.
-        if std::env::var("PNC_TELEMETRY").is_err() {
-            let enabled = with_run_manifest("test_bin", ptnc_telemetry::is_enabled);
-            assert!(!enabled);
-        }
+        // No manifest path: the body runs with telemetry off and nothing
+        // is written.
+        let enabled = with_run_manifest(None, header(), ptnc_telemetry::is_enabled);
+        assert!(!enabled);
     }
 
     #[test]
     fn manifest_written_when_env_var_set() {
-        let path = std::env::temp_dir().join("ptnc_bench_manifest_test.jsonl");
-        // Only this test touches PNC_TELEMETRY, so the set/remove pair
-        // cannot race with the rest of the suite.
-        std::env::set_var("PNC_TELEMETRY", &path);
-        with_run_manifest("test_bin", || {
+        let path = std::env::temp_dir().join(format!(
+            "ptnc_bench_manifest_test_{}.jsonl",
+            std::process::id()
+        ));
+        with_run_manifest(path.to_str(), header(), || {
             ptnc_telemetry::counter("test.events", 3);
         });
-        std::env::remove_var("PNC_TELEMETRY");
         let contents = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let mut lines = contents.lines();

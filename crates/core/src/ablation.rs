@@ -82,7 +82,7 @@ pub struct AblationResult {
     pub perturbed: f64,
 }
 
-/// Trains one ablation arm with an environment-sized runner. See
+/// Trains one ablation arm with the default runner. See
 /// [`run_arm_with_runner`].
 pub fn run_arm(
     arm: AblationArm,
@@ -99,7 +99,7 @@ pub fn run_arm(
         max_epochs,
         variation_trials,
         seed,
-        &ParallelRunner::from_env(),
+        &ParallelRunner::default(),
     )
 }
 

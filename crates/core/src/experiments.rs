@@ -1,29 +1,19 @@
-//! Shared experiment harness: fidelity scaling via environment variables and
-//! the per-dataset pipeline behind Tables I–III.
+//! Shared experiment harness: fidelity scaling and the per-dataset pipeline
+//! behind Tables I–III.
 //!
 //! The paper trains 10 seeds per dataset with unbounded epochs; the default
-//! scale here finishes in minutes while preserving every comparison. Raise
-//! the fidelity with:
-//!
-//! | variable | meaning | default |
-//! |----------|---------|---------|
-//! | `PNC_SEEDS` | training seeds per dataset | 3 |
-//! | `PNC_EPOCHS` | epoch cap | 300 |
-//! | `PNC_MC` | Monte-Carlo samples per epoch | 2 |
-//! | `PNC_TRIALS` | variation instances at test time | 5 |
-//! | `PNC_TOPK` | models kept per dataset ("top three", §IV-B) | 2 |
-//! | `PNC_HIDDEN` | hidden width of all models | 8 |
+//! scale ([`ExperimentScale::quick`]) finishes in minutes while preserving
+//! every comparison. The experiment binaries raise it from `PNC_*`
+//! variables, parsed in `ptnc-bench`.
 
 use ptnc_datasets::preprocess::Preprocess;
 use ptnc_datasets::{benchmark, BenchmarkSpec, DataSplit};
 
-use crate::eval::{evaluate, evaluate_with_runner, mean_std, EvalCondition};
+use crate::eval::{evaluate_with_runner, mean_std, EvalCondition};
 use crate::parallel::ParallelRunner;
-use crate::training::{
-    top_k_indices, train, train_elman_with_runner, train_with_runner, TrainConfig,
-};
+use crate::training::{top_k_indices, train_elman_with_runner, train_with_runner, TrainConfig};
 
-/// Experiment fidelity knobs (see module docs for the environment mapping).
+/// Experiment fidelity knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentScale {
     /// Training seeds per dataset.
@@ -52,26 +42,6 @@ impl ExperimentScale {
             hidden: 8,
         }
     }
-
-    /// Reads the scale from `PNC_*` environment variables, falling back to
-    /// [`ExperimentScale::quick`].
-    pub fn from_env() -> Self {
-        let get = |name: &str, default: usize| -> usize {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        let q = Self::quick();
-        ExperimentScale {
-            seeds: get("PNC_SEEDS", q.seeds).max(1),
-            epochs: get("PNC_EPOCHS", q.epochs).max(1),
-            mc_samples: get("PNC_MC", q.mc_samples).max(1),
-            variation_trials: get("PNC_TRIALS", q.variation_trials).max(1),
-            top_k: get("PNC_TOPK", q.top_k).max(1),
-            hidden: get("PNC_HIDDEN", q.hidden).max(2),
-        }
-    }
 }
 
 /// The preprocessed 60/20/20 split of one benchmark (paper §IV-A2).
@@ -87,11 +57,13 @@ pub fn prepare_split(spec: &BenchmarkSpec, seed: u64) -> DataSplit {
 /// time-warping (§IV-A3).
 ///
 /// Each candidate strength is scored by a shortened training run evaluated on
-/// the validation set under the paper's combined test condition.
+/// the validation set under the paper's combined test condition, fanning
+/// the Monte-Carlo work out through `runner`.
 pub fn tune_augment_strength(
     split: &DataSplit,
     template: &TrainConfig,
     scale: &ExperimentScale,
+    runner: &ParallelRunner,
 ) -> f64 {
     let grid = vec![0.25, 0.5, 0.75];
     let tune_epochs = (scale.epochs / 3).max(20);
@@ -105,8 +77,8 @@ pub fn tune_augment_strength(
             .clone()
             .with_epochs(tune_epochs)
             .with_augment_strength(strength);
-        let trained = train(split, &cfg, 0);
-        evaluate(&trained.model, &split.val, &condition, 0)
+        let trained = train_with_runner(split, &cfg, 0, runner);
+        evaluate_with_runner(&trained.model, &split.val, &condition, 0, runner)
     });
     points[best].config
 }
@@ -125,10 +97,10 @@ pub struct Table1Row {
     pub adapt: (f64, f64),
 }
 
-/// Runs the full Table I protocol on one benchmark with an
-/// environment-sized runner (`PNC_THREADS`). See [`table1_row_with_runner`].
+/// Runs the full Table I protocol on one benchmark with the default runner.
+/// See [`table1_row_with_runner`].
 pub fn table1_row(spec: &BenchmarkSpec, scale: &ExperimentScale) -> Table1Row {
-    table1_row_with_runner(spec, scale, &ParallelRunner::from_env())
+    table1_row_with_runner(spec, scale, &ParallelRunner::default())
 }
 
 /// Runs the full Table I protocol on one benchmark: train over seeds, keep
@@ -185,7 +157,7 @@ pub fn table1_row_with_runner(
         .mc_samples(scale.mc_samples)
         .build();
     // Per-dataset augmentation tuning (the paper's Ray-Tune step).
-    let strength = tune_augment_strength(&split, &adapt_template, scale);
+    let strength = tune_augment_strength(&split, &adapt_template, scale, runner);
     let adapt_cfg = adapt_template.with_augment_strength(strength);
 
     let baseline_scores = run(baseline_cfg);
@@ -205,13 +177,6 @@ pub fn table1_row_with_runner(
 mod tests {
     use super::*;
     use ptnc_datasets::all_specs;
-
-    #[test]
-    fn scale_from_env_respects_defaults() {
-        // No PNC_* variables set in the test environment ⇒ quick defaults.
-        let s = ExperimentScale::from_env();
-        assert!(s.seeds >= 1 && s.epochs >= 1 && s.hidden >= 2);
-    }
 
     #[test]
     fn prepare_split_partitions() {

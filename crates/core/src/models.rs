@@ -158,21 +158,6 @@ pub enum ForwardMode {
     Fused,
 }
 
-impl ForwardMode {
-    /// Reads the mode from `PNC_TRAIN_FUSED` (default: fused). Set
-    /// `PNC_TRAIN_FUSED=0` to fall back to the per-step tape.
-    pub fn from_env() -> Self {
-        match std::env::var("PNC_TRAIN_FUSED") {
-            Ok(v)
-                if v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off") =>
-            {
-                ForwardMode::Unfused
-            }
-            _ => ForwardMode::Fused,
-        }
-    }
-}
-
 /// A 2-layer printed temporal-processing network.
 #[derive(Debug, Clone)]
 pub struct PrintedModel {
@@ -308,7 +293,7 @@ impl PrintedModel {
     /// Panics if `steps` is empty or the noise has the wrong number of
     /// layers.
     pub fn forward(&self, steps: &[Tensor], noise: Option<&ModelNoise>) -> Tensor {
-        self.forward_with_mode(steps, noise, ForwardMode::from_env())
+        self.forward_with_mode(steps, noise, ForwardMode::Fused)
     }
 
     /// Forward pass with an explicit tape-recording mode. Both modes produce
@@ -510,14 +495,6 @@ mod tests {
             for ((p, want), i) in m.parameters().iter().zip(&unfused_grads).zip(0..) {
                 assert_eq!(&p.grad(), want, "{order:?}: parameter {i} grad diverged");
             }
-        }
-    }
-
-    #[test]
-    fn forward_mode_env_default_is_fused() {
-        // No env override in the test process ⇒ fused.
-        if std::env::var("PNC_TRAIN_FUSED").is_err() {
-            assert_eq!(ForwardMode::from_env(), ForwardMode::Fused);
         }
     }
 

@@ -14,7 +14,7 @@
 //! Determinism contract: every work item derives its RNG from
 //! [`seed_split`]`(master_seed, stream, index)` instead of sharing a
 //! sequential RNG, so fan-out results are bit-identical regardless of
-//! thread count — `PNC_THREADS` changes wall-clock time, never numbers.
+//! thread count — the runner width changes wall-clock time, never numbers.
 
 pub use ptnc_runner::{rng_for, seed_split, streams, ParallelRunner};
 

@@ -14,7 +14,7 @@
 //! `(schedule seed, kind, channel, timestep)` and variation noise on
 //! `(sweep seed, trial)`, and grid points fan out through
 //! [`ParallelRunner`] with ordered collection — the sweep (and its JSONL
-//! rendering) is byte-identical for any `PNC_THREADS`. Common random
+//! rendering) is byte-identical for any thread count. Common random
 //! numbers across the grid: every severity and every model sees the same
 //! fault pattern and the same variation draws, so curve differences are
 //! signal, not sampling jitter.

@@ -10,11 +10,12 @@
 
 use ptnc_datasets::DataSplit;
 
-use crate::eval::{evaluate, EvalCondition};
+use crate::eval::{evaluate_with_runner, EvalCondition};
 use crate::hardware::{count_devices, DeviceCount};
 use crate::models::FilterOrder;
+use crate::parallel::ParallelRunner;
 use crate::power::model_power;
-use crate::training::{train, TrainConfig};
+use crate::training::{train_with_runner, TrainConfig};
 use crate::variation::VariationConfig;
 
 /// The candidate grid.
@@ -67,7 +68,8 @@ impl Candidate {
     }
 }
 
-/// Exhaustively evaluates the search space. Returns all candidates in grid
+/// Exhaustively evaluates the search space, fanning each candidate's
+/// Monte-Carlo work out through `runner`. Returns all candidates in grid
 /// order plus the index of the accuracy-best one.
 ///
 /// # Panics
@@ -78,6 +80,7 @@ pub fn architecture_search(
     space: &SearchSpace,
     epochs: usize,
     seed: u64,
+    runner: &ParallelRunner,
 ) -> (Vec<Candidate>, usize) {
     assert!(space.len() > 0, "empty search space");
     let condition = EvalCondition::VariationAndPerturbed {
@@ -94,8 +97,8 @@ pub fn architecture_search(
                 .to_builder()
                 .filter_order(order)
                 .build();
-            let trained = train(split, &cfg, seed);
-            let score = evaluate(&trained.model, &split.val, &condition, seed);
+            let trained = train_with_runner(split, &cfg, seed, runner);
+            let score = evaluate_with_runner(&trained.model, &split.val, &condition, seed, runner);
             let candidate = Candidate {
                 hidden,
                 order,
@@ -174,7 +177,8 @@ mod tests {
             hidden: vec![3],
             orders: vec![FilterOrder::First, FilterOrder::Second],
         };
-        let (candidates, best) = architecture_search(&split, &space, 5, 0);
+        let (candidates, best) =
+            architecture_search(&split, &space, 5, 0, &ParallelRunner::default());
         assert_eq!(candidates.len(), 2);
         assert!(best < 2);
         // Second-order must cost more capacitors at equal width.

@@ -94,7 +94,7 @@ pub struct TrainConfig {
     /// Record the training tape with the fused whole-sequence scan kernels
     /// ([`ForwardMode::Fused`]) instead of one node per time step. Both modes
     /// are bit-identical in results; fused is several times faster. Presets
-    /// default from `PNC_TRAIN_FUSED` (fused unless set to `0`).
+    /// set it; `.train_fused(false)` selects the per-step reference tape.
     pub train_fused: bool,
 }
 
@@ -118,7 +118,7 @@ impl TrainConfig {
             variation: VariationConfig::paper_default(),
             mu_nominal: VariationConfig::paper_default().mu_nominal(),
             pdk: Pdk::paper_default(),
-            train_fused: ForwardMode::from_env() == ForwardMode::Fused,
+            train_fused: true,
         }
     }
 
@@ -495,10 +495,10 @@ impl TrainObjective for PrintedObjective {
 }
 
 /// Trains a printed model on a data split with the given configuration and
-/// seed, using an environment-sized [`ParallelRunner`] (`PNC_THREADS`) for
-/// the per-epoch Monte-Carlo fan-out. See [`train_with_runner`].
+/// seed, using the default [`ParallelRunner`] for the per-epoch Monte-Carlo
+/// fan-out. See [`train_with_runner`].
 pub fn train(split: &DataSplit, config: &TrainConfig, seed: u64) -> TrainedModel {
-    train_with_runner(split, config, seed, &ParallelRunner::from_env())
+    train_with_runner(split, config, seed, &ParallelRunner::default())
 }
 
 /// Trains a printed model on a data split with the given configuration,
@@ -588,7 +588,7 @@ pub fn train_with_runner(
     }
 }
 
-/// Trains the Elman RNN reference with an environment-sized runner. See
+/// Trains the Elman RNN reference with the default runner. See
 /// [`train_elman_with_runner`].
 pub fn train_elman(
     split: &DataSplit,
@@ -596,7 +596,7 @@ pub fn train_elman(
     max_epochs: usize,
     seed: u64,
 ) -> (ptnc_nn::ElmanRnn, TrainReport) {
-    train_elman_with_runner(split, hidden, max_epochs, seed, &ParallelRunner::from_env())
+    train_elman_with_runner(split, hidden, max_epochs, seed, &ParallelRunner::default())
 }
 
 /// Trains the Elman RNN reference on the same split through the same

@@ -127,7 +127,7 @@ pub struct Trainer {
 
 impl Trainer {
     /// Creates a trainer with the paper's schedule, the given epoch cap and
-    /// an environment-sized [`ParallelRunner`].
+    /// the default [`ParallelRunner`].
     ///
     /// # Panics
     ///
@@ -138,7 +138,7 @@ impl Trainer {
             schedule: ReduceLrOnPlateau::paper_default(),
             max_epochs,
             seed,
-            runner: ParallelRunner::from_env(),
+            runner: ParallelRunner::default(),
             max_grad_norm: Some(1e3),
         }
     }

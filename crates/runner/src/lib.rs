@@ -12,7 +12,7 @@
 //!   count** — parallelism never changes which random numbers a work item
 //!   sees, only when they are drawn.
 //! * [`ParallelRunner`] — a rayon-backed fan-out primitive owning thread
-//!   pool sizing (`PNC_THREADS` / `RAYON_NUM_THREADS`), ordered result
+//!   pool sizing (`RAYON_NUM_THREADS` by default), ordered result
 //!   collection, panic capture with item context, and optional progress
 //!   reporting on stderr.
 //!
@@ -82,8 +82,9 @@ pub mod streams {
 /// The runner owns three policies so call sites don't re-implement them:
 ///
 /// 1. **Thread-pool sizing.** Explicit [`ParallelRunner::with_threads`]
-///    wins, then `PNC_THREADS`, then `RAYON_NUM_THREADS`, then available
-///    parallelism. Thread count never affects results, only wall-clock.
+///    wins over the default, [`rayon::current_num_threads`]
+///    (`RAYON_NUM_THREADS`, then available parallelism). Thread count never
+///    affects results, only wall-clock.
 /// 2. **Ordered collection.** Outputs come back in item order.
 /// 3. **Panic capture.** A panicking item aborts the fan-out and re-raises
 ///    on the caller thread, prefixed with the item index for diagnosis.
@@ -94,27 +95,16 @@ pub struct ParallelRunner {
 }
 
 impl Default for ParallelRunner {
+    /// A runner as wide as [`rayon::current_num_threads`].
     fn default() -> Self {
-        Self::from_env()
+        ParallelRunner {
+            threads: rayon::current_num_threads().max(1),
+            progress: None,
+        }
     }
 }
 
 impl ParallelRunner {
-    /// Runner sized from the environment (`PNC_THREADS`, then
-    /// `RAYON_NUM_THREADS`, then available parallelism).
-    #[must_use]
-    pub fn from_env() -> Self {
-        let threads = std::env::var("PNC_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(rayon::current_num_threads);
-        ParallelRunner {
-            threads: threads.max(1),
-            progress: None,
-        }
-    }
-
     /// A strictly serial runner (one thread) — useful in tests comparing
     /// serial and parallel execution.
     #[must_use]
@@ -259,7 +249,7 @@ mod tests {
 
     #[test]
     fn run_preserves_order_and_results() {
-        let runner = ParallelRunner::from_env().with_threads(4);
+        let runner = ParallelRunner::default().with_threads(4);
         let out = runner.run((0..100).collect(), |i, x: i32| (i, x * 2));
         for (i, (idx, doubled)) in out.iter().enumerate() {
             assert_eq!(*idx, i);
@@ -366,10 +356,12 @@ mod tests {
     }
 
     #[test]
-    fn env_sizing_prefers_pnc_threads() {
-        // Cannot set env vars safely in parallel tests; just assert the
-        // explicit override and floor behaviour.
-        assert_eq!(ParallelRunner::from_env().with_threads(0).threads(), 1);
+    fn default_sizing_follows_rayon() {
+        assert_eq!(
+            ParallelRunner::default().threads(),
+            rayon::current_num_threads()
+        );
+        assert_eq!(ParallelRunner::default().with_threads(0).threads(), 1);
         assert_eq!(ParallelRunner::serial().threads(), 1);
     }
 }

@@ -13,14 +13,14 @@
 //!   thread exits and adopted by the next worker thread that allocates, so
 //!   MC workers keep an effectively **persistent scratch arena across
 //!   samples and epochs** even though the threads themselves are short-lived.
-//! * `PNC_POOL=0` (or [`set_enabled`]`(false)`) disables recycling for A/B
-//!   measurements. Numerical results are identical either way: pooled
+//! * Recycling is on by default; [`set_enabled`]`(false)` disables it for
+//!   A/B measurements. Numerical results are identical either way: pooled
 //!   buffers are fully overwritten before they become visible.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::Scalar;
@@ -44,26 +44,18 @@ struct Arena {
 /// Arenas orphaned by exited worker threads, waiting for adoption.
 static RESERVOIR: Mutex<Vec<Arena>> = Mutex::new(Vec::new());
 
-/// 0 = read `PNC_POOL` on first use, 1 = enabled, 2 = disabled.
-static MODE: AtomicU8 = AtomicU8::new(0);
+/// Whether freed buffers are recycled (process-wide).
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
 fn enabled() -> bool {
-    match MODE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = std::env::var("PNC_POOL").map_or(true, |v| v != "0");
-            MODE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Enables or disables buffer recycling process-wide (overrides `PNC_POOL`).
+/// Enables or disables buffer recycling process-wide (on by default).
 /// Used by benches to A/B pooled vs unpooled allocation in one process.
 /// Safe at any time: disabling simply routes future frees to the allocator.
 pub fn set_enabled(on: bool) {
-    MODE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Holder whose drop hands the thread's arena to the global reservoir, so

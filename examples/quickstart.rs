@@ -30,14 +30,15 @@ fn main() {
     // 2. Train the baseline pTPNC (first-order filters, nothing
     //    robustness-aware) and the full ADAPT-pNC (SO-LF + variation-aware
     //    Monte-Carlo training + data augmentation). Configs come from the
-    //    presets; the builder tweaks individual fields. The runner fans the
-    //    Monte-Carlo samples of each epoch out over `PNC_THREADS` threads —
-    //    the numbers are bit-identical for any thread count.
+    //    presets; the builder tweaks individual fields. The default runner
+    //    fans the Monte-Carlo samples of each epoch out over
+    //    `RAYON_NUM_THREADS` threads (or one per core) — the numbers are
+    //    bit-identical for any thread count.
     let epochs = std::env::var("PNC_EPOCHS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(200);
-    let runner = ParallelRunner::from_env();
+    let runner = ParallelRunner::default();
     println!("training on {} thread(s)...", runner.threads());
     let baseline_cfg = TrainConfig::builder(8).max_epochs(epochs).build();
     let adapt_cfg = TrainConfig::adapt_pnc(8)

@@ -148,7 +148,7 @@ fn search_winner_round_trips() {
         hidden: vec![3],
         orders: vec![adapt_pnc::models::FilterOrder::Second],
     };
-    let (candidates, best) = architecture_search(&split, &space, 8, 0);
+    let (candidates, best) = architecture_search(&split, &space, 8, 0, &Default::default());
     let cfg = TrainConfig::adapt_pnc(candidates[best].hidden)
         .with_epochs(8)
         .to_builder()
