@@ -1,5 +1,7 @@
 //! The five augmentation transforms from the paper, plus composition.
 
+use std::cell::RefCell;
+
 use rand::Rng;
 use rand::RngCore;
 
@@ -81,6 +83,13 @@ impl TimeWarp {
     }
 }
 
+thread_local! {
+    /// `(len, knots, sines)`: the warp basis `sin((k+1)·π·t_i)`, `[i][k]`,
+    /// of the last shape warped on this thread. Every series of a dataset
+    /// has one length, so a pass over it computes the basis once.
+    static WARP_BASIS: RefCell<(usize, usize, Vec<f64>)> = const { RefCell::new((0, 0, Vec::new())) };
+}
+
 impl Augment for TimeWarp {
     fn apply(&self, series: &[f64], rng: &mut dyn RngCore) -> Vec<f64> {
         let n = series.len();
@@ -90,16 +99,29 @@ impl Augment for TimeWarp {
         let amps: Vec<f64> = (0..self.knots)
             .map(|_| self.strength * randn(rng) / self.knots as f64)
             .collect();
-        (0..n)
-            .map(|i| {
-                let t = i as f64 / (n - 1) as f64;
-                let mut warp = 0.0;
-                for (k, &a) in amps.iter().enumerate() {
-                    warp += a * ((k + 1) as f64 * std::f64::consts::PI * t).sin();
+        let t = |i: usize| i as f64 / (n - 1) as f64;
+        WARP_BASIS.with_borrow_mut(|(len, knots, sines)| {
+            if (*len, *knots) != (n, self.knots) {
+                sines.clear();
+                for i in 0..n {
+                    for k in 0..self.knots {
+                        sines.push(((k + 1) as f64 * std::f64::consts::PI * t(i)).sin());
+                    }
                 }
-                sample_at(series, (t + warp).clamp(0.0, 1.0) * (n - 1) as f64)
-            })
-            .collect()
+                (*len, *knots) = (n, self.knots);
+            }
+            sines
+                .chunks_exact(self.knots)
+                .enumerate()
+                .map(|(i, basis)| {
+                    let mut warp = 0.0;
+                    for (&a, &s) in amps.iter().zip(basis) {
+                        warp += a * s;
+                    }
+                    sample_at(series, (t(i) + warp).clamp(0.0, 1.0) * (n - 1) as f64)
+                })
+                .collect()
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -355,6 +377,37 @@ mod tests {
         assert!((out[0] - s[0]).abs() < 1e-9);
         assert!((out[63] - s[63]).abs() < 1e-9);
         assert_ne!(out, s);
+    }
+
+    #[test]
+    fn time_warp_basis_follows_the_series_shape() {
+        // The basis computed inline, per sample, as the warp is defined.
+        fn uncached(tw: &TimeWarp, series: &[f64], rng: &mut dyn RngCore) -> Vec<f64> {
+            let n = series.len();
+            let amps: Vec<f64> = (0..tw.knots)
+                .map(|_| tw.strength * randn(rng) / tw.knots as f64)
+                .collect();
+            (0..n)
+                .map(|i| {
+                    let t = i as f64 / (n - 1) as f64;
+                    let mut warp = 0.0;
+                    for (k, &a) in amps.iter().enumerate() {
+                        warp += a * ((k + 1) as f64 * std::f64::consts::PI * t).sin();
+                    }
+                    sample_at(series, (t + warp).clamp(0.0, 1.0) * (n - 1) as f64)
+                })
+                .collect()
+        }
+        // Shape changes in length alone, in knots alone, and back again.
+        let shapes = [(64, 4), (100, 4), (64, 4), (64, 7), (100, 2), (64, 4)];
+        for (seed, &(n, knots)) in shapes.iter().enumerate() {
+            let s = sine(n);
+            let tw = TimeWarp::new(0.2, knots);
+            let got = tw.apply(&s, &mut rng(seed as u64));
+            let want = uncached(&tw, &s, &mut rng(seed as u64));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "len {n}, {knots} knots");
+        }
     }
 
     #[test]

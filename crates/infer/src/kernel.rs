@@ -175,9 +175,7 @@ impl<A: Arith> Layer<A> {
         let last = &states[states.len() - width..];
         let rows = act.chunks_exact_mut(batch).zip(last.chunks_exact(batch));
         for ((o_row, v_row), &eta) in rows.zip(&self.eta) {
-            for (o, &v) in o_row.iter_mut().zip(v_row) {
-                *o = arith.ptanh(eta, v);
-            }
+            arith.ptanh(eta, v_row, o_row);
         }
     }
 }

@@ -5,7 +5,10 @@
 //!
 //! * **`f64`** is the reference. It replicates the autograd kernels
 //!   operation for operation — ascending fan-in accumulation,
-//!   `(acc + θ_b)/G`, `std` `tanh` — and the parity tests pin it bitwise.
+//!   `(acc + θ_b)/G` — except `tanh`, which is an in-crate branch-free
+//!   `expm1` form within 4 ulp of `std`'s, so its lane loop has no libm
+//!   call. Logits stay within 1e-9 of autograd (accuracies identical), and
+//!   golden digests pin its bits.
 //! * **`f32`** runs the same cascade in single precision, with the
 //!   crossbar's `1/G` normalization folded into the weights at compile
 //!   time and a branch-free rational `tanh`.
@@ -108,7 +111,9 @@ impl std::fmt::Display for QFormat {
 /// trade that fidelity for throughput and hardware realism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
-    /// The reference path: replicates autograd arithmetic exactly.
+    /// The reference path: the autograd arithmetic operation for
+    /// operation, with a `tanh` within 4 ulp of `std`'s (logits within
+    /// 1e-9 of autograd).
     #[default]
     F64,
     /// Single precision with a rational `tanh`.
@@ -209,8 +214,8 @@ pub(crate) trait Arith: Copy + std::fmt::Debug {
     fn crossbar(self, acc: Self::Acc, b: Self::T, g: Self::Norm) -> Self::T;
     /// One first-order section update: `a·v + b·x`.
     fn section(self, a: Self::T, v: Self::T, b: Self::T, x: Self::T) -> Self::T;
-    /// `ptanh`: `η₁ + η₂·tanh((v − η₃)·η₄)`.
-    fn ptanh(self, eta: [Self::T; 4], v: Self::T) -> Self::T;
+    /// `ptanh` over one filter's lanes: `out = η₁ + η₂·tanh((v − η₃)·η₄)`.
+    fn ptanh(self, eta: [Self::T; 4], v: &[Self::T], out: &mut [Self::T]);
 }
 
 /// The `f64` reference arithmetic.
@@ -255,8 +260,10 @@ impl Arith for F64 {
         a * v + b * x
     }
     #[inline]
-    fn ptanh(self, [e1, e2, e3, e4]: [f64; 4], v: f64) -> f64 {
-        e1 + e2 * ((v - e3) * e4).tanh()
+    fn ptanh(self, [e1, e2, e3, e4]: [f64; 4], v: &[f64], out: &mut [f64]) {
+        for (o, &v) in out.iter_mut().zip(v) {
+            *o = e1 + e2 * tanh_f64((v - e3) * e4);
+        }
     }
 }
 
@@ -296,8 +303,10 @@ impl Arith for F32 {
         a * v + b * x
     }
     #[inline]
-    fn ptanh(self, [e1, e2, e3, e4]: [f32; 4], v: f32) -> f32 {
-        e1 + e2 * tanh_f32((v - e3) * e4)
+    fn ptanh(self, [e1, e2, e3, e4]: [f32; 4], v: &[f32], out: &mut [f32]) {
+        for (o, &v) in out.iter_mut().zip(v) {
+            *o = e1 + e2 * tanh_f32((v - e3) * e4);
+        }
     }
 }
 
@@ -338,13 +347,64 @@ impl Arith for QFormat {
         sat((t + (1 << (COEFF_FRAC - 1))) >> COEFF_FRAC)
     }
     #[inline]
-    fn ptanh(self, [e1, e2, e3, e4]: [i32; 4], v: i32) -> i32 {
-        let f = self.frac_bits;
-        let d = sat(v as i64 - e3 as i64);
-        let arg = sat((d as i64 * e4 as i64 + (1 << (f - 1))) >> f);
-        let t = tanh_i32(tanh_lut(), arg, f) as i64;
-        sat(e1 as i64 + ((e2 as i64 * t + (1 << (TANH_FRAC - 1))) >> TANH_FRAC))
+    fn ptanh(self, [e1, e2, e3, e4]: [i32; 4], v: &[i32], out: &mut [i32]) {
+        let (f, lut) = (self.frac_bits, tanh_lut());
+        for (o, &v) in out.iter_mut().zip(v) {
+            let d = sat(v as i64 - e3 as i64);
+            let arg = sat((d as i64 * e4 as i64 + (1 << (f - 1))) >> f);
+            let t = tanh_i32(lut, arg, f) as i64;
+            *o = sat(e1 as i64 + ((e2 as i64 * t + (1 << (TANH_FRAC - 1))) >> TANH_FRAC));
+        }
     }
+}
+
+/// Branch-free `f64` `tanh` in the `expm1` form: `tanh|x| = (1 − e)/(1 + e)`
+/// with `e = e^(−2|x|)`, and the sign of `x` is copied back, so the
+/// function is exactly odd and keeps `±0`. It reduces `−2|x| = k·ln2 + r`
+/// (`|r| ≤ ln2/2`, Cody–Waite split `ln2`), sums the degree-13 Taylor
+/// series of `expm1(r)`, and builds `2^k` from exponent bits; then
+/// `e = 2^k + 2^k·expm1(r)`, and each side of the quotient combines the small
+/// term with an exact `1 ∓ 2^k`, one rounding each, so small `|x|` loses
+/// nothing to cancellation. No libm call and no branch, so per-lane loops
+/// vectorize. Within 4 ulp of `std`'s `tanh`; `|x| ≥ 22` (where `tanh`
+/// rounds to 1) is clamped, which keeps `2^k` normal and returns exactly
+/// `±1`; NaN propagates.
+#[inline(always)]
+fn tanh_f64(x: f64) -> f64 {
+    const LN2_HI: f64 = 6.931_471_803_691_238e-1; // low 21 bits zero: k·LN2_HI is exact
+    const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
+    /// Adding `1.5·2^52` rounds to an integer held in the low mantissa bits.
+    const ROUND: f64 = 6_755_399_441_055_744.0;
+    /// `1/n!` for `n = 2..=13`.
+    const INV_FACT: [f64; 12] = [
+        1.0 / 2.0,
+        1.0 / 6.0,
+        1.0 / 24.0,
+        1.0 / 120.0,
+        1.0 / 720.0,
+        1.0 / 5040.0,
+        1.0 / 40320.0,
+        1.0 / 362880.0,
+        1.0 / 3628800.0,
+        1.0 / 39916800.0,
+        1.0 / 479001600.0,
+        1.0 / 6227020800.0,
+    ];
+    let a = x.abs();
+    // `a > 22` is false for NaN, which then flows through to the result.
+    let z = -2.0 * if a > 22.0 { 22.0 } else { a };
+    let shifted = z * std::f64::consts::LOG2_E + ROUND;
+    let k = shifted - ROUND;
+    let r = (z - k * LN2_HI) - k * LN2_LO;
+    let mut q = INV_FACT[11];
+    for &c in INV_FACT[..11].iter().rev() {
+        q = q * r + c;
+    }
+    let expm1_r = r + r * r * q;
+    // The low 12 bits of `shifted` hold `k` (two's complement, −63 ≤ k ≤ 0).
+    let two_k = f64::from_bits((shifted.to_bits() << 52).wrapping_add(1023 << 52));
+    let scaled = two_k * expm1_r;
+    ((1.0 - two_k - scaled) / (1.0 + two_k + scaled)).copysign(x)
 }
 
 /// Branch-free rational `tanh` approximation (Eigen's vectorizable
@@ -494,6 +554,63 @@ mod tests {
         assert!("i32q99".parse::<Precision>().is_err());
         assert!("i32qx".parse::<Precision>().is_err());
         assert_eq!(Precision::default(), Precision::F64);
+    }
+
+    /// Distance in units in the last place between two finite values of
+    /// the same sign.
+    fn ulps(a: f64, b: f64) -> u64 {
+        (a.to_bits() as i64 - b.to_bits() as i64).unsigned_abs()
+    }
+
+    #[test]
+    fn tanh_f64_is_within_4_ulp_of_std() {
+        const N: usize = 1_200_000;
+        let mut worst = (0u64, 0.0f64);
+        for i in 0..=N {
+            let x = -22.0 + 44.0 * i as f64 / N as f64;
+            let (got, want) = (tanh_f64(x), x.tanh());
+            assert_eq!(got.to_bits(), (-tanh_f64(-x)).to_bits(), "odd at {x}");
+            let d = if got == want { 0 } else { ulps(got, want) };
+            if d > worst.0 {
+                worst = (d, x);
+            }
+        }
+        // Relative accuracy near zero, where tanh x ≈ x, on a log grid.
+        for e in -1074..0 {
+            for m in [1.0, 1.3, 1.7] {
+                let x = m * 2f64.powi(e);
+                let d = ulps(tanh_f64(x), x.tanh());
+                if d > worst.0 {
+                    worst = (d, x);
+                }
+            }
+        }
+        assert!(worst.0 <= 4, "{} ulp at x = {:e}", worst.0, worst.1);
+    }
+
+    #[test]
+    fn tanh_f64_special_values() {
+        assert_eq!(tanh_f64(0.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(tanh_f64(-0.0).to_bits(), (-0.0f64).to_bits());
+        assert!(tanh_f64(f64::NAN).is_nan());
+        assert!(tanh_f64(-f64::NAN).is_nan());
+        assert_eq!(tanh_f64(f64::INFINITY), 1.0);
+        assert_eq!(tanh_f64(f64::NEG_INFINITY), -1.0);
+        // Subnormals: tanh x = x exactly.
+        for x in [f64::from_bits(1), 1e-310, -1e-310, f64::MIN_POSITIVE / 3.0] {
+            assert_eq!(tanh_f64(x), x, "subnormal {x:e}");
+        }
+        // Exactly ±1 from where std rounds to 1, through the clamp, to the
+        // largest finite value.
+        let mut x = 19.1f64;
+        while x < 30.0 {
+            assert_eq!(x.tanh(), 1.0);
+            assert_eq!(tanh_f64(x), 1.0, "saturation at {x}");
+            assert_eq!(tanh_f64(-x), -1.0, "saturation at -{x}");
+            x += 0.01;
+        }
+        assert_eq!(tanh_f64(f64::MAX), 1.0);
+        assert_eq!(tanh_f64(-f64::MAX), -1.0);
     }
 
     #[test]

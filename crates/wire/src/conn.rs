@@ -156,6 +156,19 @@ impl WireStream {
         }
     }
 
+    /// Best-effort half close: the peer reads EOF after what was sent,
+    /// while this side can still read what the peer sends.
+    pub(crate) fn shutdown_write(&self) {
+        match self {
+            WireStream::Tcp(s) => {
+                let _ = s.shutdown(std::net::Shutdown::Write);
+            }
+            WireStream::Unix(s) => {
+                let _ = s.shutdown(std::net::Shutdown::Write);
+            }
+        }
+    }
+
     fn read_some(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
             WireStream::Tcp(s) => s.read(buf),
@@ -205,6 +218,27 @@ pub(crate) fn read_idle_byte(
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(WireError::io("read", &e)),
+        }
+    }
+}
+
+/// Reads and discards until the peer closes, stays quiet for `slice`, or
+/// `deadline` passes: the lingering half of a graceful close. Bytes the
+/// peer sent before it saw our farewell are consumed, so closing does not
+/// answer them with a reset that could destroy the farewell.
+pub(crate) fn linger(stream: &mut WireStream, slice: Duration, deadline: Instant) {
+    let mut sink = [0u8; 512];
+    loop {
+        let now = Instant::now();
+        if now >= deadline || stream.set_read_timeout(slice.min(deadline - now)).is_err() {
+            return;
+        }
+        match stream.read_some(&mut sink) {
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            // Quiet (timed out) or gone.
+            Err(_) => return,
         }
     }
 }

@@ -16,11 +16,14 @@
 //!   stream position meaningless, so the connection is counted and
 //!   closed; only *well-framed* garbage (a payload that fails to decode)
 //!   is answered in-band, because framing is still trustworthy then.
-//! - **Graceful drain.** Shutdown stops the accept loop, lets each
-//!   connection finish the request it is mid-way through, sends
-//!   [`GoingAway`](crate::proto::Response::GoingAway), closes, and only
-//!   then tears down the scheduler — in-flight work completes, new work
-//!   is refused, nobody observes a torn response.
+//! - **Graceful drain.** Shutdown stops the accept loop (admitting the
+//!   connections the kernel already accepted), lets each connection finish
+//!   the request it is mid-way through and every complete request already
+//!   readable on its socket, sends
+//!   [`GoingAway`](crate::proto::Response::GoingAway), half-closes, reads
+//!   what the peer still sends until it hangs up or falls quiet, closes,
+//!   and only then tears down the scheduler — accepted work completes, new
+//!   work is refused, nobody observes a torn response or a reset.
 //! - **Connection-scoped sessions.** Wire sessions are looked up through
 //!   a per-connection table, so a client can only ever address sessions
 //!   it opened on that connection (no cross-connection hijack by id
@@ -59,9 +62,10 @@ pub struct WireServerConfig {
     /// answering `Deadline` (the ticket is abandoned, the connection
     /// survives).
     pub request_deadline: Duration,
-    /// How long [`WireServer::shutdown`] waits for connections to finish
-    /// their in-flight request and acknowledge the drain before giving
-    /// up on them.
+    /// How long a draining connection keeps serving requests already on
+    /// its socket, and, after `GoingAway`, how long it lingers for the
+    /// peer to hang up; also how long [`WireServer::shutdown`] keeps
+    /// joining connections before giving up on them.
     pub drain_deadline: Duration,
     /// Granularity of the between-frames listen (and of the accept
     /// loop's stop-flag poll). Small values notice shutdown faster at
@@ -221,7 +225,8 @@ impl WireServer {
     }
 
     /// Graceful drain: stop accepting, let every connection finish its
-    /// in-flight request and send `GoingAway`, join the handlers (up to
+    /// in-flight request and those already on its socket, send `GoingAway`
+    /// and linger until the peer hangs up, join the handlers (up to
     /// `drain_deadline`, then hard-close their sockets is left to OS
     /// teardown), and finally [`Server::begin_shutdown`] the scheduler so
     /// queued work is failed rather than stranded.
@@ -274,6 +279,17 @@ fn accept_loop(shared: &Arc<SharedState>, listener: &Listener) {
             Err(_) => std::thread::sleep(shared.cfg.idle_poll),
         }
         reap_finished(shared);
+    }
+    // Connections still in the backlog were accepted by the kernel and
+    // may already carry a request; closing the listener would reset them.
+    // Their handlers start draining at once: they serve what was sent and
+    // say GoingAway.
+    let deadline = Instant::now() + shared.cfg.drain_deadline;
+    while Instant::now() < deadline {
+        match listener.try_accept() {
+            Ok(Some(stream)) => admit(shared, stream),
+            Ok(None) | Err(_) => break,
+        }
     }
 }
 
@@ -391,6 +407,14 @@ fn handle_connection(shared: &SharedState, mut stream: WireStream, conn_id: u64)
                 shared.stats.frames_written.fetch_add(1, Ordering::Relaxed);
                 shared.stats.going_away_sent.fetch_add(1, Ordering::Relaxed);
             }
+            // Closing with unread bytes would reset the connection, and a
+            // reset can destroy the farewell before the peer reads it.
+            stream.shutdown_write();
+            conn::linger(
+                &mut stream,
+                shared.cfg.idle_poll,
+                Instant::now() + shared.cfg.drain_deadline,
+            );
         }
         ConnExit::PeerClosed | ConnExit::Desynced | ConnExit::DeadPeer => {}
     }
@@ -410,15 +434,29 @@ fn serve_frames(
     scratch: &mut Vec<u8>,
     payload_buf: &mut Vec<u8>,
 ) -> ConnExit {
+    // Set when this connection first sees the drain flag.
+    let mut drain_end: Option<Instant> = None;
     loop {
         // Between frames: listen in idle slices, watching the drain flag.
+        // Once draining, a request already readable is still served (the
+        // kernel accepted it; a zero slice is the socket's 1 ms timeout
+        // floor), up to the drain deadline so a busy peer cannot hold the
+        // drain open.
         let first = loop {
-            if shared.stop.load(Ordering::Acquire) {
-                return ConnExit::Draining;
-            }
-            match conn::read_idle_byte(stream, shared.cfg.idle_poll) {
+            let slice = if shared.stop.load(Ordering::Acquire) {
+                let end =
+                    *drain_end.get_or_insert_with(|| Instant::now() + shared.cfg.drain_deadline);
+                if Instant::now() >= end {
+                    return ConnExit::Draining;
+                }
+                Duration::ZERO
+            } else {
+                shared.cfg.idle_poll
+            };
+            match conn::read_idle_byte(stream, slice) {
                 Ok(IdleRead::Byte(b)) => break b,
                 Ok(IdleRead::Eof) => return ConnExit::PeerClosed,
+                Ok(IdleRead::Quiet) if drain_end.is_some() => return ConnExit::Draining,
                 Ok(IdleRead::Quiet) => continue,
                 Err(_) => return ConnExit::DeadPeer,
             }

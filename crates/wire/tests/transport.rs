@@ -6,7 +6,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use adapt_pnc::models::PrintedModel;
 use adapt_pnc::persist;
@@ -62,6 +62,10 @@ fn quick_client(endpoint: &Endpoint) -> WireClient {
 /// client's error handling, for protocol-violation tests.
 fn raw_exchange(stream: &mut TcpStream, bytes: &[u8]) -> std::io::Result<(u8, u64, Vec<u8>)> {
     stream.write_all(bytes)?;
+    read_raw_frame(stream)
+}
+
+fn read_raw_frame(stream: &mut TcpStream) -> std::io::Result<(u8, u64, Vec<u8>)> {
     let mut header = [0u8; frame::HEADER_LEN];
     stream.read_exact(&mut header)?;
     let h = frame::decode_header(&header, 1 << 22).expect("server sent a valid header");
@@ -201,10 +205,10 @@ fn drain_finishes_inflight_work_and_says_going_away() {
     let server = start_server(
         "drain",
         BatchConfig {
-            // A wide batch window keeps the in-flight request in the
-            // scheduler long enough for the drain to land mid-request.
-            batch_window: Duration::from_millis(40),
-            max_batch: 4,
+            // Two-lane batches with a window no test outlives: a request
+            // leaves the queue only when a partner of its length joins it.
+            batch_window: Duration::from_secs(60),
+            max_batch: 2,
             ..BatchConfig::default()
         },
     );
@@ -214,38 +218,126 @@ fn drain_finishes_inflight_work_and_says_going_away() {
         WireServerConfig::default(),
     )
     .unwrap();
-    let endpoint = wire.endpoint().clone();
-    let window = steps(6, 0.2);
-    let oracle = server.infer("t", &window).unwrap();
-
-    let inflight = {
-        let window = window.clone();
-        std::thread::spawn(move || {
-            let mut client = quick_client(&endpoint);
-            client.submit("t", &window)
-        })
+    let Endpoint::Tcp(addr) = wire.endpoint().clone() else {
+        unreachable!()
     };
-    // Let the request reach the scheduler, then start draining while it
-    // is (very likely) still inside the batch window.
-    std::thread::sleep(Duration::from_millis(10));
+    let windows = [steps(6, 0.2), steps(6, 1.3)];
+    let submit = |id: u64| {
+        let steps = windows[id as usize - 1].clone();
+        encode_request(
+            &Request::Submit {
+                tenant: "t".into(),
+                steps,
+            },
+            id,
+        )
+    };
+
+    // Two pipelined requests in one small write, so one segment.
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    raw.write_all(&[submit(1), submit(2)].concat()).unwrap();
+
+    // Barrier: the handler has read request 1 and waits on its ticket,
+    // which cannot complete before a partner joins the batch. Request 2
+    // arrived in the same segment, so it is parked, unread, in the socket.
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while wire.stats().frames_read != 1 || server.queue_depth() != 1 {
+        assert!(
+            Instant::now() < give_up,
+            "request 1 never reached the queue"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     wire.begin_shutdown();
-    let completed = inflight
-        .join()
-        .unwrap()
-        .expect("in-flight request must complete across a drain");
-    assert_eq!(
-        completed
-            .logits
-            .iter()
-            .map(|v| v.to_bits())
-            .collect::<Vec<_>>(),
-        oracle.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-    );
+
+    // In-process partners of the same shapes release both requests and,
+    // lanes being independent, are their bitwise oracles. A partner that
+    // queues first waits for its request.
+    let partners = {
+        let (server, windows) = (Arc::clone(&server), windows.clone());
+        std::thread::spawn(move || windows.map(|w| server.infer("t", &w).unwrap()))
+    };
+    let mut answers = Vec::new();
+    for id in [1, 2] {
+        let (ftype, rid, payload) = read_raw_frame(&mut raw)
+            .unwrap_or_else(|e| panic!("request {id} must be answered across a drain: {e}"));
+        assert_eq!((ftype, rid), (ptnc_wire::FrameType::Logits as u8, id));
+        match Response::decode(ptnc_wire::FrameType::Logits, &payload).unwrap() {
+            Response::Logits { logits, .. } => answers.push(logits),
+            other => panic!("expected logits for request {id}, got {other:?}"),
+        }
+    }
+    // Then the farewell and a clean end of stream, not a reset.
+    let (ftype, _, _) = read_raw_frame(&mut raw).unwrap();
+    assert_eq!(ftype, ptnc_wire::FrameType::GoingAway as u8);
+    let mut rest = Vec::new();
+    raw.read_to_end(&mut rest)
+        .expect("drained connection must end cleanly");
+    assert!(rest.is_empty());
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (got, want) in answers.iter().zip(partners.join().unwrap()) {
+        assert_eq!(bits(got), bits(&want));
+    }
     wire.shutdown();
-    // The handler owed the (still-connected) peer a farewell.
-    // (The client thread may have exited first; the send is best-effort
-    // but on loopback with an open socket it lands.)
-    assert!(server.queue_depth() == 0);
+    assert_eq!(server.queue_depth(), 0);
+}
+
+#[test]
+fn drain_serves_connections_still_in_the_accept_backlog() {
+    let server = start_server("drain-backlog", BatchConfig::default());
+    let wire = WireServer::bind(
+        Arc::clone(&server),
+        &Endpoint::Tcp("127.0.0.1:0".parse().unwrap()),
+        WireServerConfig {
+            // The accept loop sleeps this long whenever it finds no one.
+            idle_poll: Duration::from_millis(300),
+            ..WireServerConfig::default()
+        },
+    )
+    .unwrap();
+    let Endpoint::Tcp(addr) = wire.endpoint().clone() else {
+        unreachable!()
+    };
+    // Once the first connection is admitted, the accept loop finds the
+    // backlog empty and sleeps, so the second one (request already sent)
+    // waits in the backlog when the drain begins.
+    let mut first = TcpStream::connect(addr).unwrap();
+    first
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    while wire.live_connections() != 1 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let window = steps(5, 0.4);
+    let mut second = TcpStream::connect(addr).unwrap();
+    second
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let request = Request::Submit {
+        tenant: "t".into(),
+        steps: window.clone(),
+    };
+    second.write_all(&encode_request(&request, 4)).unwrap();
+    wire.begin_shutdown();
+
+    let (ftype, id, payload) = read_raw_frame(&mut second)
+        .expect("a connection the kernel accepted must be served across a drain");
+    assert_eq!((ftype, id), (ptnc_wire::FrameType::Logits as u8, 4));
+    let Response::Logits { logits, .. } =
+        Response::decode(ptnc_wire::FrameType::Logits, &payload).unwrap()
+    else {
+        panic!("expected logits");
+    };
+    let oracle = server.infer("t", &window).unwrap();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&logits), bits(&oracle));
+    for conn in [&mut second, &mut first] {
+        let (ftype, _, _) = read_raw_frame(conn).unwrap();
+        assert_eq!(ftype, ptnc_wire::FrameType::GoingAway as u8);
+    }
+    wire.shutdown();
 }
 
 #[test]
