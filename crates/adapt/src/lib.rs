@@ -16,9 +16,9 @@
 //!    recent labeled traffic windows; the kept sample is deterministic in
 //!    `(seed, push sequence)`.
 //! 3. **Refit** ([`refit_filters`]): SGD on *only* the per-stage filter
-//!    betas (`log R`, `log C`); crossbar and activation parameters are
-//!    captured in a [`ptnc_nn::FrozenParams`] snapshot and restored after
-//!    every step, so they stay bitwise identical. Minibatches come from
+//!    betas (`log R`, `log C`), with gradients from the compiled kernel's
+//!    reverse sweep; crossbar and activation parameters are never
+//!    written, so they stay bitwise identical. Minibatches come from
 //!    the counter-based RNG keyed on `(seed, round, step, lane)`; an
 //!    optional wall-clock budget can only stop the deterministic step
 //!    schedule early.

@@ -3,11 +3,12 @@
 //! ADAPT-pNC's central claim is that the SO adaptive learnable filters
 //! absorb sensor drift and variability without re-printing the crossbar.
 //! [`refit_filters`] operationalizes that for a deployed snapshot: it
-//! rebuilds a trainable [`PrintedModel`], puts *only* the per-stage filter
-//! betas (`log R`, `log C`) under SGD, and pins every other parameter —
-//! crossbar weights `θ_w`/`θ_b`/`θ_d` and the learnable-η activation — by
-//! capturing them in a [`FrozenParams`] snapshot restored after every
-//! step. Minibatches are drawn from the replay reservoir with the
+//! rebuilds the [`PrintedModel`], takes each minibatch's gradient from the
+//! compiled `f64` kernel's reverse sweep at nominal conditions
+//! ([`ptnc_infer::InferModel::loss_and_grad`], no autograd tape), and
+//! applies SGD to *only* the per-stage filter betas (`log R`, `log C`,
+//! [`filter_param_indices`]); crossbar weights `θ_w`/`θ_b`/`θ_d` and the
+//! learnable-η activation are never written. Minibatches are drawn from the replay reservoir with the
 //! counter-based RNG, so the whole refit is bit-identical for a given
 //! `(snapshot, replay contents, config)` regardless of wall clock or
 //! thread count. The optional wall-clock budget only ever stops the loop
@@ -18,9 +19,9 @@ use std::time::{Duration, Instant};
 use adapt_pnc::models::PrintedModel;
 use adapt_pnc::pdk::Pdk;
 use adapt_pnc::persist::{self, ModelSnapshot, RestoreError};
+use adapt_pnc::serve::ServeModel;
 use ptnc_faultsim::mix4;
-use ptnc_nn::{cross_entropy, FrozenParams, Sgd};
-use ptnc_tensor::Tensor;
+use ptnc_infer::InferModel;
 
 use crate::replay::LabeledWindow;
 
@@ -157,10 +158,10 @@ pub fn filter_param_indices(stages: usize, layers: usize) -> Vec<usize> {
 /// Re-fits only the SO-LF filter betas of `snap` against the replay
 /// `windows`, returning the adapted model and a step-by-step account.
 ///
-/// Crossbar and activation parameters are bit-identical before and after:
-/// they are captured up front and restored after every optimizer step, so
-/// gradient flow through them never lands. The adapted model is projected
-/// back into the printable PDK box after each step.
+/// Crossbar and activation parameters are bit-identical before and after
+/// (for a snapshot inside the printable box): only the filter betas are
+/// ever updated. The adapted model is projected back into the printable
+/// PDK box after each step.
 pub fn refit_filters(
     snap: &ModelSnapshot,
     windows: &[LabeledWindow],
@@ -216,16 +217,22 @@ pub fn refit_filters(
         0,
         "parameter list does not tile into per-layer blocks"
     );
-    let layers = params.len() / per_layer;
-    let filter_idx = filter_param_indices(stages, layers);
-    let filter_params: Vec<Tensor> = filter_idx.iter().map(|&i| params[i].clone()).collect();
-    let frozen_params: Vec<Tensor> = (0..params.len())
-        .filter(|i| !filter_idx.contains(i))
-        .map(|i| params[i].clone())
+    let filter_idx = filter_param_indices(stages, params.len() / per_layer);
+    let spec = ServeModel::spec_of(&model);
+    // Where each parameter tensor starts in the flat gradient.
+    let offsets: Vec<usize> = params
+        .iter()
+        .scan(0, |at, p| {
+            let start = *at;
+            *at += p.len();
+            Some(start)
+        })
         .collect();
-    let frozen = FrozenParams::capture(&frozen_params);
-
-    let mut opt = Sgd::new(filter_params, cfg.lr, cfg.momentum);
+    let mut grad = vec![0.0; params.iter().map(|p| p.len()).sum()];
+    let mut velocity: Vec<Vec<f64>> = filter_idx
+        .iter()
+        .map(|&i| vec![0.0; params[i].len()])
+        .collect();
     let pdk = Pdk::paper_default();
     let n = windows.len() as u64;
     let batch = cfg.batch.min(windows.len());
@@ -255,27 +262,29 @@ pub fn refit_filters(
             })
             .collect();
 
-        // Stack time-major: step `tt` occupies rows tt·batch..(tt+1)·batch,
-        // the layout `forward_time_major` expects.
+        // Stack time-major: step `tt` holds every picked window's input at
+        // `tt`, the layout `loss_and_grad` expects.
         let mut data = Vec::with_capacity(t * batch * dim);
         for tt in 0..t {
             for w in &picked {
                 data.extend_from_slice(&w.steps[tt * dim..(tt + 1) * dim]);
             }
         }
-        let x = Tensor::from_vec(&[t * batch, dim], data);
         let labels: Vec<usize> = picked.iter().map(|w| w.label).collect();
 
-        let logits = model.forward_time_major(&x, t, None);
-        let loss = cross_entropy(&logits, &labels);
-        let loss_value = loss.item();
+        let values: Vec<Vec<f64>> = params.iter().map(|p| p.to_vec()).collect();
+        let loss_value = InferModel::build(spec, &values)
+            .ok()
+            .and_then(|engine| {
+                engine
+                    .loss_and_grad(None, &data, batch, &labels, &mut grad)
+                    .ok()
+            })
+            .unwrap_or(f64::NAN);
         if !loss_value.is_finite() {
             // A poisoned minibatch must not poison the betas: drop the
-            // gradients and move on to the next deterministic draw.
+            // gradient and move on to the next deterministic draw.
             report.skipped_non_finite += 1;
-            for p in &params {
-                p.zero_grad();
-            }
             continue;
         }
         if report.initial_loss.is_nan() {
@@ -283,15 +292,18 @@ pub fn refit_filters(
         }
         report.final_loss = loss_value;
 
-        loss.backward();
-        opt.step();
-        // Gradient flow reached the frozen tensors too; undo any residue
-        // and re-project the betas into the printable box.
-        frozen.restore_into(&frozen_params);
-        model.project(&pdk);
-        for p in &params {
-            p.zero_grad();
+        // SGD with momentum on the filter betas only, then re-project them
+        // into the printable box.
+        for (&i, v) in filter_idx.iter().zip(&mut velocity) {
+            let g = &grad[offsets[i]..offsets[i] + v.len()];
+            let mut data = values[i].clone();
+            for ((x, v), &g) in data.iter_mut().zip(v.iter_mut()).zip(g) {
+                *v = cfg.momentum * *v + g;
+                *x -= cfg.lr * *v;
+            }
+            params[i].set_data(data);
         }
+        model.project(&pdk);
         report.steps_taken += 1;
     }
 

@@ -392,6 +392,9 @@ fn run(config: &Config, wl: &Workload) {
 
     let server = Server::start(Arc::clone(&reg), cfg).expect("start server");
     let load = drive_load(&server, &reg, wl);
+    // The one-shot figures: read before the session phase adds its batches.
+    let mean_fill = server.mean_batch_fill();
+    let batches = server.batches();
     let sessions = drive_sessions(&server, wl);
 
     let timesteps = load.completed * wl.steps as u64;
@@ -406,8 +409,6 @@ fn run(config: &Config, wl: &Workload) {
     let p99 = stream_snaps.iter().map(|s| s.p99_micros).max().unwrap_or(0);
     let swap_best = load.swap_reports.iter().copied().min().unwrap_or(0);
     let swap_worst = load.swap_reports.iter().copied().max().unwrap_or(0);
-    let mean_fill = server.mean_batch_fill();
-    let batches = server.batches();
 
     let widths = [26usize, 14];
     print_row(&["metric", "value"].map(String::from), &widths);

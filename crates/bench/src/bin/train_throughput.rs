@@ -1,14 +1,19 @@
 //! Training-throughput harness: epochs/sec, Monte-Carlo steps/sec and heap
-//! allocations per step for the three variation-aware training paths —
+//! allocations per step for the four variation-aware training paths —
 //!
 //! * **unfused+malloc** — per-step autograd tape, buffer pool disabled
 //!   (every tensor round-trips through the system allocator),
 //! * **unfused+pool** — per-step tape with the recycling buffer pool,
 //! * **fused+pool** — whole-sequence scan kernels (`matmul_scan`,
-//!   `bias_div_scan`, `filter_scan`, `ptanh_scan`) on the pooled tape.
+//!   `bias_div_scan`, `filter_scan`, `ptanh_scan`) on the pooled tape,
+//! * **compiled** — the compiled `f64` inference kernel with its reverse
+//!   sweep (`TrainPath::Compiled`, the presets' default), no tape.
 //!
-//! All three paths are bit-identical in results (the harness asserts it);
-//! only the wall clock and the allocator traffic differ.
+//! The three tape paths are bit-identical in results (the harness asserts
+//! it); only the wall clock and the allocator traffic differ. The compiled
+//! path agrees with them to rounding, so its history is not compared.
+//! Each figure is one unpaired timed sample; paired speed claims come from
+//! `pncbench`.
 //!
 //! ```text
 //! cargo run -p ptnc-bench --release --bin train_throughput
@@ -18,7 +23,8 @@
 //! Knobs: `PNC_SMOKE=1` shrinks the workload for CI; `PNC_TRAIN_EPOCHS`,
 //! `PNC_TRAIN_MC`, `PNC_TRAIN_HIDDEN`, `PNC_TRAIN_DATASET` override it.
 //! `PNC_TRAIN_ENFORCE=1` exits non-zero if the fused+pooled path is not at
-//! least as fast as the unfused+malloc baseline (the CI regression gate).
+//! least as fast as the unfused+malloc baseline, or the compiled path is
+//! slower than fused+pooled (the CI regression gate).
 //! A JSON summary is written to `PNC_TRAIN_JSON` (default
 //! `BENCH_train.json`); spans/gauges go to the `train` telemetry scope when
 //! `PNC_TELEMETRY=<path>` is set.
@@ -62,14 +68,14 @@ struct PathResult {
     report: ptnc_nn::TrainReport,
 }
 
-/// Trains once under the given tape mode / pool setting with epoch timing
+/// Trains once on the given path / pool setting with epoch timing
 /// captured, returning throughput and allocator traffic. A one-epoch warm-up
 /// run first-touches the dataset caches and (when enabled) fills the pool.
 fn measure(
     name: &'static str,
     split: &DataSplit,
     wl: &Workload,
-    fused: bool,
+    path: TrainPath,
     pooled: bool,
 ) -> PathResult {
     pool::set_enabled(pooled);
@@ -78,7 +84,7 @@ fn measure(
             .to_builder()
             .max_epochs(epochs)
             .mc_samples(wl.mc_samples)
-            .train_fused(fused)
+            .train_path(path)
             .build()
     };
     let runner = ParallelRunner::serial();
@@ -120,10 +126,10 @@ fn run(config: &Config, wl: &Workload) {
         ds.shuffle_split(0.6, 0.2, 0)
     };
 
-    let unfused_malloc = measure("unfused+malloc", &split, wl, false, false);
-    let unfused_pool = measure("unfused+pool", &split, wl, false, true);
-    let fused_pool = measure("fused+pool", &split, wl, true, true);
-    pool::set_enabled(true); // restore the default for anything after us
+    let unfused_malloc = measure("unfused+malloc", &split, wl, TrainPath::UnfusedTape, false);
+    let unfused_pool = measure("unfused+pool", &split, wl, TrainPath::UnfusedTape, true);
+    let fused_pool = measure("fused+pool", &split, wl, TrainPath::FusedTape, true);
+    let compiled = measure("compiled", &split, wl, TrainPath::Compiled, true);
 
     // The whole point of the fused tape is that it changes *nothing* but the
     // wall clock: all three paths must produce the same training history.
@@ -136,7 +142,7 @@ fn run(config: &Config, wl: &Workload) {
         "pooled and unpooled training diverged — pool corrupts buffers"
     );
 
-    let results = [&unfused_malloc, &unfused_pool, &fused_pool];
+    let results = [&unfused_malloc, &unfused_pool, &fused_pool, &compiled];
     let widths = [16usize, 12, 12, 14, 10];
     print_row(
         &["path", "epochs/sec", "steps/sec", "allocs/step", "speedup"].map(String::from),
@@ -163,17 +169,22 @@ fn run(config: &Config, wl: &Workload) {
         );
     }
     let speedup = fused_pool.steps_per_sec / base;
+    let compiled_speedup = compiled.steps_per_sec / fused_pool.steps_per_sec.max(1e-12);
     let alloc_reduction = unfused_malloc.allocs_per_step / fused_pool.allocs_per_step.max(1e-12);
     ptnc_telemetry::gauge("train.speedup.fused_pool_vs_unfused_malloc", speedup);
     ptnc_telemetry::gauge(
         "train.alloc_reduction.fused_pool_vs_unfused_malloc",
         alloc_reduction,
     );
+    ptnc_telemetry::gauge("train.speedup.compiled_vs_fused_pool", compiled_speedup);
     println!();
     println!(
         "fused+pool vs unfused+malloc: {speedup:.1}x steps/sec, {alloc_reduction:.0}x fewer allocations/step"
     );
-    println!("(single-thread Monte-Carlo; all paths verified bit-identical)");
+    println!("compiled vs fused+pool: {compiled_speedup:.1}x steps/sec");
+    println!(
+        "(single-thread Monte-Carlo, one unpaired sample per path; tape paths verified bit-identical)"
+    );
 
     let json_path = config.get("PNC_TRAIN_JSON").unwrap_or("BENCH_train.json");
     let path_json = |r: &PathResult| {
@@ -183,7 +194,7 @@ fn run(config: &Config, wl: &Workload) {
         )
     };
     let json = format!(
-        "{{\n  \"bench\": \"train_throughput\",\n  \"dataset\": \"{}\",\n  \"epochs\": {},\n  \"mc_samples\": {},\n  \"hidden\": {},\n  \"paths\": [\n    {},\n    {},\n    {}\n  ],\n  \"speedup_fused_pool_vs_unfused_malloc\": {:.3},\n  \"alloc_reduction_fused_pool_vs_unfused_malloc\": {:.1},\n  \"bit_identical\": true\n}}\n",
+        "{{\n  \"bench\": \"train_throughput\",\n  \"dataset\": \"{}\",\n  \"epochs\": {},\n  \"mc_samples\": {},\n  \"hidden\": {},\n  \"samples\": \"one unpaired timed sample per path\",\n  \"paths\": [\n    {},\n    {},\n    {},\n    {}\n  ],\n  \"speedup_fused_pool_vs_unfused_malloc\": {:.3},\n  \"alloc_reduction_fused_pool_vs_unfused_malloc\": {:.1},\n  \"speedup_compiled_vs_fused_pool\": {:.3},\n  \"tape_paths_bit_identical\": true\n}}\n",
         wl.dataset,
         wl.epochs,
         wl.mc_samples,
@@ -191,17 +202,28 @@ fn run(config: &Config, wl: &Workload) {
         path_json(&unfused_malloc),
         path_json(&unfused_pool),
         path_json(&fused_pool),
+        path_json(&compiled),
         speedup,
         alloc_reduction,
+        compiled_speedup,
     );
     std::fs::write(json_path, json).unwrap_or_else(|e| panic!("write {json_path}: {e}"));
     eprintln!("wrote {json_path}");
 
-    if config.flag("PNC_TRAIN_ENFORCE") && speedup < 1.0 {
-        eprintln!(
-            "PNC_TRAIN_ENFORCE: fused+pool ({:.2} steps/sec) slower than unfused+malloc ({:.2}) — failing",
-            fused_pool.steps_per_sec, base
-        );
-        std::process::exit(1);
+    if config.flag("PNC_TRAIN_ENFORCE") {
+        if speedup < 1.0 {
+            eprintln!(
+                "PNC_TRAIN_ENFORCE: fused+pool ({:.2} steps/sec) slower than unfused+malloc ({:.2}) — failing",
+                fused_pool.steps_per_sec, base
+            );
+            std::process::exit(1);
+        }
+        if compiled_speedup < 1.0 {
+            eprintln!(
+                "PNC_TRAIN_ENFORCE: compiled ({:.2} steps/sec) slower than fused+pool ({:.2}) — failing",
+                compiled.steps_per_sec, fused_pool.steps_per_sec
+            );
+            std::process::exit(1);
+        }
     }
 }

@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::robustness::{sensor_fault_sweep, RobustnessConfig, SweepPoint};
     pub use crate::serve::{ServeError, ServeModel};
     pub use crate::training::{
-        train, train_with_runner, TrainConfig, TrainConfigBuilder, TrainedModel,
+        train, train_with_runner, TrainConfig, TrainConfigBuilder, TrainPath, TrainedModel,
     };
     pub use crate::variation::{ModelNoise, VariationConfig};
     pub use ptnc_datasets::{

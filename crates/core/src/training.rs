@@ -15,21 +15,38 @@
 //! # Parallel Monte-Carlo execution
 //!
 //! The `N` variation samples of each epoch evaluate in parallel through the
-//! shared [`ParallelRunner`]: every sample rebuilds a thread-local model
-//! replica (tensors are `Rc`-based and not `Send`), draws its noise from a
-//! counter-based RNG stream keyed by `(master_seed, epoch, sample)` via
-//! [`crate::parallel::seed_split`], and returns its loss value plus
-//! per-parameter gradients. The main thread averages the gradients in
-//! sample order and injects them into the live parameters through a
-//! surrogate loss `Σᵢ⟨θᵢ, ḡᵢ⟩`, whose `backward()` deposits exactly the
-//! accumulated Monte-Carlo gradient. Because the per-sample RNG streams
-//! never depend on scheduling, training results are **bit-identical for
-//! any thread count**.
+//! shared [`ParallelRunner`], one work item per sample. Every sample draws
+//! its noise from a counter-based RNG stream keyed by
+//! `(master_seed, epoch, sample)` via [`crate::parallel::seed_split`], and
+//! returns its loss value plus per-parameter gradients. The main thread
+//! averages the gradients in sample order, so training results are
+//! **bit-identical for any thread count**.
+//!
+//! How a sample computes its gradient is the config's [`TrainPath`]:
+//!
+//! * [`TrainPath::Compiled`] (the presets' default) runs each sample on
+//!   the compiled `f64` inference kernel with its reverse sweep
+//!   ([`ptnc_infer::InferModel::loss_and_grad`]): one compiled instance per
+//!   sample from a [`VariationSample`] drawn on the sample's stream, no
+//!   autograd tape. Validation is `perturbed().run_batch()` plus the
+//!   cross-entropy. The baseline without variation awareness runs the same
+//!   path without noise.
+//! * [`TrainPath::FusedTape`] and [`TrainPath::UnfusedTape`] are the
+//!   autograd references: every sample rebuilds a thread-local tensor
+//!   replica (tensors are `Rc`-based and not `Send`), records the fused or
+//!   per-step tape and backpropagates. The two tapes are bit-identical to
+//!   each other; the compiled path agrees with them to rounding (its `tanh`
+//!   is the kernel's, within 4 ulp of `std`'s).
+//!
+//! Either way the averaged gradients are deposited into the live
+//! parameters as they are, and the training loss handed back is the mean
+//! cross-entropy as a constant.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ptnc_datasets::{DataSplit, Dataset};
+use ptnc_infer::{InferModel, InferSpec, VariationDistribution, VariationSample};
 use ptnc_nn::{
     accuracy, cross_entropy, EpochCtx, FnObjective, ReduceLrOnPlateau, TrainObjective, TrainReport,
     Trainer,
@@ -40,7 +57,23 @@ use crate::eval::{dataset_to_steps, perturb_dataset};
 use crate::models::{FilterOrder, ForwardMode, PrintedModel};
 use crate::parallel::{rng_for, streams, ModelTemplate, ParallelRunner, RawSteps};
 use crate::pdk::Pdk;
+use crate::serve::ServeModel;
 use crate::variation::VariationConfig;
+
+/// How a training run computes each Monte-Carlo sample's loss gradient.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum TrainPath {
+    /// The compiled `f64` inference kernel with its reverse sweep: no
+    /// autograd tape. Gradients agree with the tapes to rounding.
+    #[default]
+    Compiled,
+    /// The autograd tape with the fused whole-sequence scan nodes
+    /// ([`ForwardMode::Fused`]).
+    FusedTape,
+    /// The per-step autograd tape ([`ForwardMode::Unfused`]), the
+    /// reference; bit-identical to [`TrainPath::FusedTape`].
+    UnfusedTape,
+}
 
 /// Configuration of one training run.
 ///
@@ -91,11 +124,10 @@ pub struct TrainConfig {
     pub mu_nominal: f64,
     /// Printable ranges.
     pub pdk: Pdk,
-    /// Record the training tape with the fused whole-sequence scan kernels
-    /// ([`ForwardMode::Fused`]) instead of one node per time step. Both modes
-    /// are bit-identical in results; fused is several times faster. Presets
-    /// set it; `.train_fused(false)` selects the per-step reference tape.
-    pub train_fused: bool,
+    /// How each Monte-Carlo sample computes its gradient. Presets use
+    /// [`TrainPath::Compiled`]; `.train_path(TrainPath::FusedTape)` or
+    /// `UnfusedTape` selects an autograd reference tape.
+    pub train_path: TrainPath,
 }
 
 impl TrainConfig {
@@ -118,7 +150,7 @@ impl TrainConfig {
             variation: VariationConfig::paper_default(),
             mu_nominal: VariationConfig::paper_default().mu_nominal(),
             pdk: Pdk::paper_default(),
-            train_fused: true,
+            train_path: TrainPath::Compiled,
         }
     }
 
@@ -226,8 +258,8 @@ impl TrainConfigBuilder {
         mu_nominal: f64,
         /// Printable ranges.
         pdk: Pdk,
-        /// Toggles the fused whole-sequence training tape.
-        train_fused: bool,
+        /// How each Monte-Carlo sample computes its gradient.
+        train_path: TrainPath,
     }
 
     /// Finalizes the configuration.
@@ -274,10 +306,10 @@ fn mc_index(epoch: usize, sample: usize) -> u64 {
 }
 
 /// Evaluates `samples` Monte-Carlo variation draws of the cross-entropy in
-/// parallel, each on a thread-local replica with its own
-/// `(master_seed, epoch, sample)` RNG stream. Returns the mean loss value
-/// and (when `with_grads`) the per-parameter gradients averaged in sample
-/// order — deterministic for any thread count.
+/// parallel on the autograd tape, each on a thread-local replica with its
+/// own `(master_seed, epoch, sample)` RNG stream. Returns the mean loss
+/// value and (when `with_grads`) the per-parameter gradients averaged in
+/// sample order — deterministic for any thread count.
 #[allow(clippy::too_many_arguments)]
 fn mc_samples_parallel(
     runner: &ParallelRunner,
@@ -349,6 +381,22 @@ fn mc_samples_parallel(
     (mean_ce, mean_grads)
 }
 
+/// Datasets, one after the other, as the compiled kernel's time-major
+/// `[step][lane]` input, plus their labels — the lane order of
+/// [`dataset_to_steps`] on the merged set.
+fn time_major<'a>(parts: impl Iterator<Item = &'a Dataset> + Clone) -> (Vec<f64>, Vec<usize>) {
+    let items = parts.flat_map(|ds| ds.iter());
+    let lanes = items.clone().count();
+    let steps = items.clone().next().map_or(0, |it| it.values.len());
+    let mut flat = vec![0.0; lanes * steps];
+    for (lane, item) in items.clone().enumerate() {
+        for (step, &v) in item.values.iter().enumerate() {
+            flat[step * lanes + lane] = v;
+        }
+    }
+    (flat, items.map(|it| it.label).collect())
+}
+
 /// The printed-model training objective: assembles the per-epoch batch,
 /// fans the Monte-Carlo variation samples out through the epoch's runner,
 /// and keeps the validation/selection objective aligned with training.
@@ -356,16 +404,100 @@ struct PrintedObjective {
     cfg: TrainConfig,
     model: PrintedModel,
     template: ModelTemplate,
+    spec: InferSpec,
     train_set: Dataset,
     clean_train_steps: Vec<Tensor>,
     clean_train_labels: Vec<usize>,
     val_steps: Vec<Tensor>,
     val_labels: Vec<usize>,
     raw_val: RawSteps,
+    /// The validation set in the compiled kernel's layout.
+    flat_val: Vec<f64>,
     power_start_epoch: usize,
 }
 
 impl PrintedObjective {
+    /// The live parameters compiled into the inference kernel, or `None`
+    /// if one is non-finite (the caller then reports a NaN loss, which the
+    /// trainer's non-finite guard skips).
+    fn engine(&mut self) -> Option<InferModel> {
+        self.template.refresh(&self.model);
+        InferModel::build(self.spec, self.template.params().values()).ok()
+    }
+
+    /// The compiled counterpart of [`mc_samples_parallel`]: one runner
+    /// item per sample, each a [`VariationSample`] drawn on its
+    /// `(master_seed, epoch, sample)` stream (one nominal sample when not
+    /// variation-aware) and run through `engine`'s `f64` kernel. Returns
+    /// the mean loss and (when `with_grads`) the flat gradient in
+    /// parameter order, averaged in sample order.
+    fn compiled_samples(
+        &self,
+        engine: &InferModel,
+        ctx: &EpochCtx<'_>,
+        stream: u64,
+        (steps, labels): (&[f64], &[usize]),
+        with_grads: bool,
+    ) -> (f64, Vec<f64>) {
+        let aware = self.cfg.variation_aware;
+        let samples = if aware { self.cfg.mc_samples } else { 1 };
+        let dist = VariationDistribution::from(&self.cfg.variation);
+        let (seed, epoch, batch) = (ctx.master_seed, ctx.epoch, labels.len());
+        let params: usize = self.spec.param_lens().iter().sum();
+        let results = ctx.runner.run((0..samples).collect(), |_, sample: usize| {
+            let noise = aware.then(|| {
+                let mut rng = rng_for(seed, stream, mc_index(epoch, sample));
+                VariationSample::draw(engine.spec(), &dist, &mut rng)
+            });
+            let shape = "steps and labels assembled for this engine";
+            let (ce, grad) = if with_grads {
+                let mut grad = vec![0.0; params];
+                let ce = engine
+                    .loss_and_grad(noise.as_ref(), steps, batch, labels, &mut grad)
+                    .expect(shape);
+                (ce, grad)
+            } else {
+                let logits = match &noise {
+                    Some(sample) => engine
+                        .perturbed(sample)
+                        .and_then(|m| m.run_batch(steps, batch)),
+                    None => engine.run_batch(steps, batch),
+                }
+                .expect(shape);
+                let ce = ptnc_infer::cross_entropy(&logits, engine.spec().classes, labels);
+                (ce, Vec::new())
+            };
+            if aware && ptnc_telemetry::is_enabled() {
+                ptnc_telemetry::gauge("train.mc_sample_loss", ce);
+            }
+            (ce, grad)
+        });
+
+        let mean_ce = results.iter().map(|(ce, _)| ce).sum::<f64>() / samples as f64;
+        let mut mean_grad = vec![0.0; if with_grads { params } else { 0 }];
+        for (_, grad) in &results {
+            for (a, v) in mean_grad.iter_mut().zip(grad) {
+                *a += v;
+            }
+        }
+        for v in &mut mean_grad {
+            *v /= samples as f64;
+        }
+        (mean_ce, mean_grad)
+    }
+
+    /// Deposits averaged sample gradients into the live parameters and
+    /// returns the mean cross-entropy as a constant. The trainer zeroes the
+    /// gradients before asking for the loss and then calls `backward()`,
+    /// which adds nothing for the constant, so each parameter's gradient is
+    /// exactly ḡ (plus the power term's, when it is added).
+    fn inject<'g>(&self, mean_ce: f64, grads: impl Iterator<Item = &'g [f64]>) -> Tensor {
+        for (p, g) in self.model.parameters().iter().zip(grads) {
+            p.backward_with_grad(g);
+        }
+        Tensor::scalar(mean_ce)
+    }
+
     /// The power-regularization term on the live graph (differentiable).
     fn power_term(&self) -> Tensor {
         // Static power ∝ Σg; θ is in g_unit units, so scale accordingly.
@@ -374,12 +506,11 @@ impl PrintedObjective {
             .mul_scalar(self.cfg.pdk.g_unit * self.cfg.power_reg)
     }
 
-    /// The tape-recording mode this run trains with.
+    /// The tape-recording mode of a tape path.
     fn mode(&self) -> ForwardMode {
-        if self.cfg.train_fused {
-            ForwardMode::Fused
-        } else {
-            ForwardMode::Unfused
+        match self.cfg.train_path {
+            TrainPath::UnfusedTape => ForwardMode::Unfused,
+            TrainPath::Compiled | TrainPath::FusedTape => ForwardMode::Fused,
         }
     }
 }
@@ -389,50 +520,61 @@ impl TrainObjective for PrintedObjective {
         // Assemble this epoch's batch: originals plus (when augmenting) a
         // freshly drawn augmented copy. The augmentation seed is the only
         // sequential draw per epoch — thread-count independent.
-        let (train_steps, train_labels) = if self.cfg.augmented {
-            let aug = perturb_dataset(&self.train_set, self.cfg.augment_strength, ctx.rng.gen());
-            let combined = self.train_set.merged_with(&aug);
-            dataset_to_steps(&combined)
-        } else {
-            (
-                self.clean_train_steps.clone(),
-                self.clean_train_labels.clone(),
-            )
-        };
+        let aug = self
+            .cfg
+            .augmented
+            .then(|| perturb_dataset(&self.train_set, self.cfg.augment_strength, ctx.rng.gen()));
 
-        let ce = if self.cfg.variation_aware {
-            self.template.refresh(&self.model);
-            let raw_steps = RawSteps::capture(&train_steps);
-            let (mean_ce, mean_grads) = mc_samples_parallel(
-                ctx.runner,
-                ctx.master_seed,
-                streams::TRAIN_MC,
-                ctx.epoch,
-                self.cfg.mc_samples,
-                &self.template,
-                &raw_steps,
-                &train_labels,
-                &self.cfg.variation,
-                self.mode(),
-                true,
-            );
-            // Inject the accumulated replica gradients into the live
-            // parameters: d/dθ Σ⟨θ, ḡ⟩ = ḡ, and subtracting the detached
-            // value re-centers the loss at the true mean cross-entropy.
-            let params = self.model.parameters();
-            let mut surrogate = Tensor::scalar(0.0);
-            for (p, g) in params.iter().zip(&mean_grads) {
-                let grad = Tensor::from_vec(p.dims(), g.clone());
-                surrogate = surrogate.add(&p.mul(&grad).sum_all());
+        let ce = if self.cfg.train_path == TrainPath::Compiled {
+            let (steps, labels) = time_major(std::iter::once(&self.train_set).chain(&aug));
+            match self.engine() {
+                Some(engine) => {
+                    let data = (&steps[..], &labels[..]);
+                    let (mean_ce, mean_grad) =
+                        self.compiled_samples(&engine, ctx, streams::TRAIN_MC, data, true);
+                    let mut rest = mean_grad.as_slice();
+                    let grads = self.spec.param_lens().into_iter().map(|n| {
+                        let (g, tail) = rest.split_at(n);
+                        rest = tail;
+                        g
+                    });
+                    self.inject(mean_ce, grads)
+                }
+                None => Tensor::scalar(f64::NAN),
             }
-            surrogate.sub(&surrogate.detach()).add_scalar(mean_ce)
         } else {
-            cross_entropy(
-                &self
-                    .model
-                    .forward_with_mode(&train_steps, None, self.mode()),
-                &train_labels,
-            )
+            let (train_steps, train_labels) = match &aug {
+                Some(aug) => dataset_to_steps(&self.train_set.merged_with(aug)),
+                None => (
+                    self.clean_train_steps.clone(),
+                    self.clean_train_labels.clone(),
+                ),
+            };
+            if self.cfg.variation_aware {
+                self.template.refresh(&self.model);
+                let raw_steps = RawSteps::capture(&train_steps);
+                let (mean_ce, mean_grads) = mc_samples_parallel(
+                    ctx.runner,
+                    ctx.master_seed,
+                    streams::TRAIN_MC,
+                    ctx.epoch,
+                    self.cfg.mc_samples,
+                    &self.template,
+                    &raw_steps,
+                    &train_labels,
+                    &self.cfg.variation,
+                    self.mode(),
+                    true,
+                );
+                self.inject(mean_ce, mean_grads.iter().map(Vec::as_slice))
+            } else {
+                cross_entropy(
+                    &self
+                        .model
+                        .forward_with_mode(&train_steps, None, self.mode()),
+                    &train_labels,
+                )
+            }
         };
 
         if self.cfg.power_reg > 0.0 && ctx.epoch >= self.power_start_epoch {
@@ -448,7 +590,16 @@ impl TrainObjective for PrintedObjective {
         // Validation under the same regime as training. Averaging the same
         // number of variation draws as the training objective keeps the
         // best-snapshot selection from chasing lucky single draws.
-        let ce = if self.cfg.variation_aware {
+        let ce = if self.cfg.train_path == TrainPath::Compiled {
+            match self.engine() {
+                Some(engine) => {
+                    let data = (&self.flat_val[..], &self.val_labels[..]);
+                    self.compiled_samples(&engine, ctx, streams::VAL_MC, data, false)
+                        .0
+                }
+                None => f64::NAN,
+            }
+        } else if self.cfg.variation_aware {
             self.template.refresh(&self.model);
             let (mean_ce, _) = mc_samples_parallel(
                 ctx.runner,
@@ -556,16 +707,19 @@ pub fn train_with_runner(
     let power_start_epoch =
         ((1.0 - config.power_phase_frac.clamp(0.0, 1.0)) * config.max_epochs as f64) as usize;
     let raw_val = RawSteps::capture(&val_steps);
+    let (flat_val, _) = time_major(std::iter::once(&val_set));
     let mut objective = PrintedObjective {
         cfg: config.clone(),
         model: model.clone(),
         template: ModelTemplate::capture(&model),
+        spec: ServeModel::spec_of(&model),
         train_set,
         clean_train_steps,
         clean_train_labels,
         val_steps: val_steps.clone(),
         val_labels: val_labels.clone(),
         raw_val,
+        flat_val,
         power_start_epoch,
     };
 
@@ -751,8 +905,12 @@ mod tests {
             .to_builder()
             .max_epochs(4)
             .mc_samples(2);
-        let a = train(&split, &base.clone().train_fused(true).build(), 2);
-        let b = train(&split, &base.train_fused(false).build(), 2);
+        let a = train(
+            &split,
+            &base.clone().train_path(TrainPath::FusedTape).build(),
+            2,
+        );
+        let b = train(&split, &base.train_path(TrainPath::UnfusedTape).build(), 2);
         assert_eq!(a.report, b.report, "training reports diverged across modes");
         for (p, q) in a.model.parameters().iter().zip(b.model.parameters()) {
             assert_eq!(p.to_vec(), q.to_vec(), "parameters diverged across modes");

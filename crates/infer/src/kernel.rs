@@ -33,22 +33,22 @@ pub(crate) struct LayerParams {
 
 /// One layer compiled into some precision's element type.
 #[derive(Debug, Clone)]
-struct Layer<A: Arith> {
+pub(crate) struct Layer<A: Arith> {
     fan_out: usize,
     /// Effective `θ_w` `[fan_in × fan_out]`, as [`Arith::weight`] stores it.
-    w: Vec<A::T>,
+    pub(crate) w: Vec<A::T>,
     /// Effective `θ_b` `[fan_out]`, likewise.
-    b: Vec<A::T>,
+    pub(crate) b: Vec<A::T>,
     /// Column normalization `[fan_out]`, as [`Arith::norm`] keeps it.
-    g: Vec<A::Norm>,
+    pub(crate) g: Vec<A::Norm>,
     /// Section decay `a = RC/(μRC + Δt)`, `[stage][filter]`.
-    a: Vec<A::T>,
+    pub(crate) a: Vec<A::T>,
     /// Section input gain `b = Δt/(μRC + Δt)`, `[stage][filter]`.
-    bc: Vec<A::T>,
+    pub(crate) bc: Vec<A::T>,
     /// Initial stage voltage, `[stage][filter]`.
-    v0: Vec<A::T>,
+    pub(crate) v0: Vec<A::T>,
     /// Effective η₁..η₄ per filter.
-    eta: Vec<[A::T; 4]>,
+    pub(crate) eta: Vec<[A::T; 4]>,
 }
 
 impl<A: Arith> Layer<A> {
@@ -86,7 +86,12 @@ impl<A: Arith> Layer<A> {
             *gj += 1e-12;
         }
 
-        let (mut a, mut bc, mut v0) = (Vec::new(), Vec::new(), Vec::new());
+        let n = spec.stages * fan_out;
+        let (mut a, mut bc, mut v0) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
         for s in 0..spec.stages {
             for j in 0..fan_out {
                 let (mut r, mut c, mut mu) = (p.r[s][j], p.c[s][j], spec.mu_nominal);
@@ -186,7 +191,7 @@ pub(crate) struct Kernel<A: Arith> {
     arith: A,
     input_dim: usize,
     logit_scale: f64,
-    layers: [Layer<A>; 2],
+    pub(crate) layers: [Layer<A>; 2],
 }
 
 /// Working memory for one batch size at one precision, filter-major.
@@ -255,6 +260,14 @@ impl<A: Arith> Kernel<A> {
         self.layers.iter().flat_map(|l| &l.v0)
     }
 
+    /// Fills `[layer][stage][filter][lane]` stage voltages for `batch`
+    /// lanes with the initial voltages.
+    pub(crate) fn reset_states(&self, states: &mut [A::T], batch: usize) {
+        for (row, &v0) in states.chunks_exact_mut(batch).zip(self.v0()) {
+            row.fill(v0);
+        }
+    }
+
     /// Resets `lanes` to the initial stage voltages if `reset`, advances
     /// them over every timestep of `steps` (time-major `[step][lane]
     /// [input]`), then writes the scaled logits `[lane][class]` into
@@ -266,27 +279,41 @@ impl<A: Arith> Kernel<A> {
         steps: &[f64],
         logits: Option<&mut [f64]>,
     ) {
+        self.run_observed(lanes, reset, steps, logits, |_, _| {});
+    }
+
+    /// [`Kernel::run`], calling `observe(states, hidden)` after every
+    /// timestep with the `[layer][stage][filter][lane]` stage voltages and
+    /// the `[filter][lane]` hidden activations it just computed.
+    pub(crate) fn run_observed(
+        &self,
+        lanes: &mut Lanes<A>,
+        reset: bool,
+        steps: &[f64],
+        logits: Option<&mut [f64]>,
+        mut observe: impl FnMut(&[A::T], &[A::T]),
+    ) {
         let (arith, batch) = (self.arith, lanes.batch);
         if reset {
-            for (row, &v0) in lanes.states.chunks_exact_mut(batch).zip(self.v0()) {
-                row.fill(v0);
-            }
+            self.reset_states(&mut lanes.states, batch);
         }
-        let [hidden, class] = &mut lanes.act;
-        let (st0, st1) = lanes.states.split_at_mut(self.layers[0].v0.len() * batch);
+        let split = self.layers[0].v0.len() * batch;
         for step in steps.chunks_exact(batch * self.input_dim) {
             for (i, row) in lanes.x0.chunks_exact_mut(batch).enumerate() {
                 for (o, lane_in) in row.iter_mut().zip(step.chunks_exact(self.input_dim)) {
                     *o = arith.signal(lane_in[i]);
                 }
             }
+            let [hidden, class] = &mut lanes.act;
+            let (st0, st1) = lanes.states.split_at_mut(split);
             let (l0, l1) = (&self.layers[0], &self.layers[1]);
             l0.step(arith, &lanes.x0, &mut lanes.acc, st0, hidden);
             l1.step(arith, hidden, &mut lanes.acc, st1, class);
+            observe(&lanes.states, &lanes.act[0]);
         }
         if let Some(out) = logits {
             let classes = self.layers[1].fan_out;
-            for (j, row) in class.chunks_exact(batch).enumerate() {
+            for (j, row) in lanes.act[1].chunks_exact(batch).enumerate() {
                 for (lane, &v) in row.iter().enumerate() {
                     out[lane * classes + j] = arith.to_f64(v) * self.logit_scale;
                 }

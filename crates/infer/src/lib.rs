@@ -35,6 +35,11 @@
 //!   instance from a [`VariationSample`], so Monte-Carlo variation trials
 //!   share one frozen model across threads (`InferModel` is plain data and
 //!   therefore `Send + Sync`).
+//! * **Training** — [`InferModel::loss_and_grad`] runs the `f64` kernel
+//!   forward while stashing its stage voltages, then a reverse sweep, and
+//!   returns the mean cross-entropy with its gradient for every parameter.
+//!   The design-time trainer's Monte-Carlo samples and the filter refit
+//!   run on it instead of the autograd tape.
 //! * **Guarded** — [`InferModel::guarded_stream`] and
 //!   [`InferModel::run_batch_guarded`] place an [`InputGuard`] in front of
 //!   the recurrence: NaN/Inf/out-of-range samples are repaired by a
@@ -60,6 +65,7 @@
 //! a typed [`InferError`] instead of panicking, so a serving layer can
 //! shed malformed requests without losing the worker.
 
+mod adjoint;
 mod error;
 mod guard;
 mod kernel;
@@ -108,6 +114,27 @@ pub fn accuracy(logits: &[f64], classes: usize, labels: &[usize]) -> f64 {
         }
     }
     correct as f64 / labels.len() as f64
+}
+
+/// Mean cross-entropy of flat logits `[batch × classes]` against integer
+/// labels: a max-shifted log-softmax per row, the label entries summed in
+/// row order, times `−1/batch` — the design-time loss's arithmetic, so
+/// equal logits give an equal loss.
+///
+/// # Panics
+///
+/// Panics if `classes == 0`, `logits.len() != labels.len() * classes` or a
+/// label is not below `classes`.
+pub fn cross_entropy(logits: &[f64], classes: usize, labels: &[usize]) -> f64 {
+    assert!(classes > 0, "zero classes");
+    assert_eq!(
+        logits.len(),
+        labels.len() * classes,
+        "logits length {} does not match {} labels x {classes} classes",
+        logits.len(),
+        labels.len()
+    );
+    adjoint::cross_entropy(logits, classes, labels, None)
 }
 
 #[cfg(test)]

@@ -418,6 +418,16 @@ impl InferModel {
     /// match this architecture (samples drawn via [`VariationSample::draw`]
     /// on the same spec always match).
     pub fn perturbed(&self, sample: &VariationSample) -> Result<InferModel, InferError> {
+        self.check_sample(sample)?;
+        Ok(InferModel {
+            spec: self.spec,
+            raw: self.raw.clone(),
+            precision: self.precision,
+            backend: Backend::compile(self.precision, &self.spec, &self.raw, Some(sample)),
+        })
+    }
+
+    fn check_sample(&self, sample: &VariationSample) -> Result<(), InferError> {
         if sample.layers.len() != 2 {
             return Err(InferError::SpecMismatch {
                 what: "variation layers",
@@ -441,12 +451,65 @@ impl InferModel {
                 });
             }
         }
-        Ok(InferModel {
-            spec: self.spec,
-            raw: self.raw.clone(),
-            precision: self.precision,
-            backend: Backend::compile(self.precision, &self.spec, &self.raw, Some(sample)),
-        })
+        Ok(())
+    }
+
+    /// The training step without an autograd tape: the mean cross-entropy
+    /// of `batch` labelled sequences and its gradient with respect to every
+    /// parameter, written to `grad` in `PrintedModel::parameters` order
+    /// (the tensors of [`InferSpec::param_lens`], concatenated).
+    ///
+    /// It runs the `f64` kernel compiled from this model's raw parameters,
+    /// at nominal conditions or under `sample`, whatever precision the
+    /// model serves at. The forward is the serving kernel, so its logits
+    /// are bitwise those of `perturbed(sample)` run at `f64`; a reverse
+    /// sweep over stashed stage voltages gives the gradient. `steps` has
+    /// the [`run_batch`](Self::run_batch) layout.
+    ///
+    /// # Errors
+    ///
+    /// The [`InferError`]s of [`run_batch`](Self::run_batch) for `steps`
+    /// and `batch`; [`InferError::ShapeMismatch`] if `labels` is not
+    /// `batch` long, a label is not below the class count, or `grad` has
+    /// the wrong length; [`InferError::SpecMismatch`] if `sample` was drawn
+    /// for another architecture. Nothing is written on error.
+    pub fn loss_and_grad(
+        &self,
+        sample: Option<&VariationSample>,
+        steps: &[f64],
+        batch: usize,
+        labels: &[usize],
+        grad: &mut [f64],
+    ) -> Result<f64, InferError> {
+        self.check_steps(steps, batch)?;
+        if let Some(sample) = sample {
+            self.check_sample(sample)?;
+        }
+        if labels.len() != batch {
+            return Err(InferError::ShapeMismatch {
+                what: "labels",
+                expected: batch,
+                found: labels.len(),
+            });
+        }
+        if let Some(&label) = labels.iter().find(|&&l| l >= self.spec.classes) {
+            return Err(InferError::ShapeMismatch {
+                what: "label",
+                expected: self.spec.classes,
+                found: label,
+            });
+        }
+        let params: usize = self.spec.param_lens().iter().sum();
+        if grad.len() != params {
+            return Err(InferError::ShapeMismatch {
+                what: "gradient",
+                expected: params,
+                found: grad.len(),
+            });
+        }
+        Ok(crate::adjoint::loss_and_grad(
+            &self.spec, &self.raw, sample, steps, batch, labels, grad,
+        ))
     }
 
     /// Allocates working memory for batches of exactly `batch` sequences.
@@ -576,17 +639,7 @@ impl InferModel {
         scratch: &Scratch,
         out: &[f64],
     ) -> Result<(), InferError> {
-        if batch == 0 {
-            return Err(InferError::ZeroBatch);
-        }
-        let step_len = batch * self.spec.input_dim;
-        if steps.is_empty() || !steps.len().is_multiple_of(step_len) {
-            return Err(InferError::ShapeMismatch {
-                what: "steps",
-                expected: step_len,
-                found: steps.len(),
-            });
-        }
+        self.check_steps(steps, batch)?;
         if scratch.batch() != batch {
             return Err(InferError::ShapeMismatch {
                 what: "scratch batch",
@@ -606,6 +659,21 @@ impl InferModel {
                 what: "output buffer",
                 expected: batch * self.spec.classes,
                 found: out.len(),
+            });
+        }
+        Ok(())
+    }
+
+    fn check_steps(&self, steps: &[f64], batch: usize) -> Result<(), InferError> {
+        if batch == 0 {
+            return Err(InferError::ZeroBatch);
+        }
+        let step_len = batch * self.spec.input_dim;
+        if steps.is_empty() || !steps.len().is_multiple_of(step_len) {
+            return Err(InferError::ShapeMismatch {
+                what: "steps",
+                expected: step_len,
+                found: steps.len(),
             });
         }
         Ok(())

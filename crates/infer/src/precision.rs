@@ -370,7 +370,7 @@ impl Arith for QFormat {
 /// rounds to 1) is clamped, which keeps `2^k` normal and returns exactly
 /// `±1`; NaN propagates.
 #[inline(always)]
-fn tanh_f64(x: f64) -> f64 {
+pub(crate) fn tanh_f64(x: f64) -> f64 {
     const LN2_HI: f64 = 6.931_471_803_691_238e-1; // low 21 bits zero: k·LN2_HI is exact
     const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
     /// Adding `1.5·2^52` rounds to an integer held in the low mantissa bits.

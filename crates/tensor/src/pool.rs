@@ -229,8 +229,17 @@ impl Drop for PoolBuf {
 mod tests {
     use super::*;
 
+    /// The recycling switch is process-wide while the harness runs tests on
+    /// parallel threads, so every test that sets it holds this lock.
+    static SWITCH: Mutex<()> = Mutex::new(());
+
+    fn hold_switch() -> std::sync::MutexGuard<'static, ()> {
+        SWITCH.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn recycled_buffer_is_reused() {
+        let _switch = hold_switch();
         set_enabled(true);
         // An unusual length so other tests' buffers cannot interfere.
         let len = 12_347;
@@ -247,6 +256,7 @@ mod tests {
 
     #[test]
     fn zeroed_and_copy_contents() {
+        let _switch = hold_switch();
         set_enabled(true);
         let len = 9_973;
         let mut buf = take_uninit(len);
@@ -267,6 +277,7 @@ mod tests {
 
     #[test]
     fn disabled_pool_allocates_fresh_zeroed() {
+        let _switch = hold_switch();
         set_enabled(false);
         let len = 8_191;
         let mut buf = take_uninit(len);
@@ -278,6 +289,7 @@ mod tests {
 
     #[test]
     fn oversized_and_empty_buffers_are_not_pooled() {
+        let _switch = hold_switch();
         set_enabled(true);
         recycle(Vec::new());
         let before = stats();
@@ -290,6 +302,7 @@ mod tests {
 
     #[test]
     fn poolbuf_derefs_and_recycles() {
+        let _switch = hold_switch();
         set_enabled(true);
         let len = 6_421;
         let wrapped = PoolBuf::new(filled_with(len, |i| i as Scalar));

@@ -38,21 +38,23 @@ impl std::fmt::Display for Endpoint {
     }
 }
 
-/// A bound listener for either endpoint flavor, driven in nonblocking
-/// mode so the accept loop can poll a stop flag instead of needing a
-/// wake-up connection hack at shutdown.
+/// A bound listener for either endpoint flavor. The accept loop blocks in
+/// [`Listener::accept`]; shutdown wakes it with one connection of its own
+/// ([`wake`]), and the drain then empties the backlog with
+/// [`Listener::try_accept`].
 pub(crate) enum Listener {
     Tcp(TcpListener),
     Unix(UnixListener),
 }
+
+/// An accepted connection and, for TCP, the peer's address.
+pub(crate) type Accepted = (WireStream, Option<SocketAddr>);
 
 impl Listener {
     pub(crate) fn bind(endpoint: &Endpoint) -> Result<(Listener, Endpoint), WireError> {
         match endpoint {
             Endpoint::Tcp(addr) => {
                 let l = TcpListener::bind(addr).map_err(|e| WireError::io("bind", &e))?;
-                l.set_nonblocking(true)
-                    .map_err(|e| WireError::io("bind", &e))?;
                 let bound = l.local_addr().map_err(|e| WireError::io("bind", &e))?;
                 Ok((Listener::Tcp(l), Endpoint::Tcp(bound)))
             }
@@ -62,35 +64,61 @@ impl Listener {
                 // listening; removing first is the conventional fix.
                 let _ = std::fs::remove_file(path);
                 let l = UnixListener::bind(path).map_err(|e| WireError::io("bind", &e))?;
-                l.set_nonblocking(true)
-                    .map_err(|e| WireError::io("bind", &e))?;
                 Ok((Listener::Unix(l), Endpoint::Unix(path.clone())))
             }
         }
     }
 
-    /// Nonblocking accept: `Ok(Some)` on a new connection (switched back
-    /// to blocking mode), `Ok(None)` when no connection is pending.
-    pub(crate) fn try_accept(&self) -> Result<Option<WireStream>, WireError> {
-        let stream = match self {
-            Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => WireStream::Tcp(s),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => return Ok(None),
-                Err(e) => return Err(WireError::io("accept", &e)),
-            },
-            Listener::Unix(l) => match l.accept() {
-                Ok((s, _)) => WireStream::Unix(s),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => return Ok(None),
-                Err(e) => return Err(WireError::io("accept", &e)),
-            },
-        };
+    fn accept_io(&self) -> std::io::Result<Accepted> {
+        match self {
+            Listener::Tcp(l) => l.accept().map(|(s, a)| (WireStream::Tcp(s), Some(a))),
+            Listener::Unix(l) => l.accept().map(|(s, _)| (WireStream::Unix(s), None)),
+        }
+    }
+
+    /// Waits for the next connection.
+    pub(crate) fn accept(&self) -> Result<Accepted, WireError> {
+        let (stream, peer) = self.accept_io().map_err(|e| WireError::io("accept", &e))?;
         // Accepted sockets inherit the listener's nonblocking flag on
         // some platforms; the per-connection handlers use blocking reads
         // with timeouts, so flip it back explicitly.
         stream.set_nonblocking(false)?;
-        Ok(Some(stream))
+        Ok((stream, peer))
+    }
+
+    /// Makes [`Listener::try_accept`] return at once on an empty backlog.
+    pub(crate) fn stop_blocking(&self) -> Result<(), WireError> {
+        match self {
+            Listener::Tcp(l) => l.set_nonblocking(true),
+            Listener::Unix(l) => l.set_nonblocking(true),
+        }
+        .map_err(|e| WireError::io("set_nonblocking", &e))
+    }
+
+    /// Accept for the drain (after [`Listener::stop_blocking`]):
+    /// `Ok(Some)` on a connection still in the backlog, `Ok(None)` once it
+    /// is empty.
+    pub(crate) fn try_accept(&self) -> Result<Option<Accepted>, WireError> {
+        match self.accept_io() {
+            Ok((stream, peer)) => {
+                stream.set_nonblocking(false)?;
+                Ok(Some((stream, peer)))
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Ok(None),
+            Err(e) => Err(WireError::io("accept", &e)),
+        }
+    }
+}
+
+/// Wakes a listener blocked in [`Listener::accept`]: connects to its
+/// bound `endpoint` and hangs up at once. Returns `None` if the connect
+/// failed, else the waker's own TCP address (`None` inside for a unix
+/// socket), so the accept loop can tell the wake-up from a client.
+pub(crate) fn wake(endpoint: &Endpoint, timeout: Duration) -> Option<Option<SocketAddr>> {
+    match WireStream::connect(endpoint, timeout).ok()? {
+        WireStream::Tcp(s) => Some(s.local_addr().ok()),
+        WireStream::Unix(_) => Some(None),
     }
 }
 

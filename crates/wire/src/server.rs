@@ -31,8 +31,9 @@
 //!   its connection instead of leaking until the idle sweeper finds it.
 
 use std::collections::HashMap;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use ptnc_infer::Health;
@@ -67,10 +68,17 @@ pub struct WireServerConfig {
     /// peer to hang up; also how long [`WireServer::shutdown`] keeps
     /// joining connections before giving up on them.
     pub drain_deadline: Duration,
-    /// Granularity of the between-frames listen (and of the accept
-    /// loop's stop-flag poll). Small values notice shutdown faster at
-    /// the cost of more wakeups.
+    /// Granularity of the between-frames listen, and the accept loop's
+    /// back-off after a failed accept. Small values notice shutdown
+    /// faster at the cost of more wakeups. (The accept loop itself blocks
+    /// until a connection arrives or shutdown wakes it.)
     pub idle_poll: Duration,
+    /// Test hook, `None` in service: after admitting each connection
+    /// before shutdown, the accept loop waits on this barrier twice — once
+    /// to say it admitted, once for the go-ahead — so a test can make a
+    /// connection that provably waits in the backlog.
+    #[doc(hidden)]
+    pub accept_pause: Option<Arc<Barrier>>,
 }
 
 impl Default for WireServerConfig {
@@ -83,6 +91,7 @@ impl Default for WireServerConfig {
             request_deadline: Duration::from_secs(10),
             drain_deadline: Duration::from_secs(5),
             idle_poll: Duration::from_millis(10),
+            accept_pause: None,
         }
     }
 }
@@ -155,6 +164,13 @@ struct SharedState {
     live: AtomicUsize,
     next_conn: AtomicU64,
     stats: WireStats,
+    /// The bound endpoint: `begin_shutdown` connects to it once to wake
+    /// the accept loop.
+    endpoint: Endpoint,
+    /// `Some` once that wake-up connection was made, holding its TCP
+    /// address so the drain drops it instead of admitting it. Locked
+    /// across the connect, so the drain reads it only once it is known.
+    waker: Mutex<Option<Option<SocketAddr>>>,
     /// Handler threads, reaped opportunistically by the accept loop and
     /// definitively by `shutdown`.
     handlers: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -188,6 +204,8 @@ impl WireServer {
             live: AtomicUsize::new(0),
             next_conn: AtomicU64::new(0),
             stats: WireStats::default(),
+            endpoint: bound.clone(),
+            waker: Mutex::new(None),
             handlers: Mutex::new(Vec::new()),
         });
         let loop_shared = Arc::clone(&shared);
@@ -219,9 +237,17 @@ impl WireServer {
 
     /// The non-joining half of [`shutdown`](Self::shutdown): stops the
     /// accept loop and tells handlers to drain. Idempotent, callable
-    /// from any thread.
+    /// from any thread. The accept loop is woken by one connection of the
+    /// server's own, which it recognizes and drops (over a unix socket it
+    /// is served like a client that hung up at once).
     pub fn begin_shutdown(&self) {
+        // `Drop` reaches this, so a poisoned lock must not panic; the value
+        // is only ever written whole.
+        let mut waker = self.shared.waker.lock().unwrap_or_else(|e| e.into_inner());
         self.shared.stop.store(true, Ordering::Release);
+        if waker.is_none() {
+            *waker = conn::wake(&self.shared.endpoint, self.shared.cfg.write_deadline);
+        }
     }
 
     /// Graceful drain: stop accepting, let every connection finish its
@@ -237,6 +263,12 @@ impl WireServer {
     fn shutdown_inner(&mut self) {
         self.begin_shutdown();
         if let Some(h) = self.accept_thread.take() {
+            // A wake-up connect can fail (say, out of descriptors); retry
+            // it until the loop is out.
+            while !h.is_finished() {
+                std::thread::sleep(self.shared.cfg.idle_poll);
+                self.begin_shutdown();
+            }
             let _ = h.join();
         }
         let deadline = Instant::now() + self.shared.cfg.drain_deadline;
@@ -270,26 +302,45 @@ impl Drop for WireServer {
 }
 
 fn accept_loop(shared: &Arc<SharedState>, listener: &Listener) {
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.try_accept() {
-            Ok(Some(stream)) => admit(shared, stream),
-            Ok(None) => std::thread::sleep(shared.cfg.idle_poll),
+    let first = loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::Acquire) {
+            break accepted.ok();
+        }
+        match accepted {
+            Ok((stream, _)) => {
+                admit(shared, stream);
+                if let Some(pause) = &shared.cfg.accept_pause {
+                    pause.wait();
+                    pause.wait();
+                }
+            }
             // Transient accept errors (EMFILE under load, aborted
             // handshakes) must not kill the listener.
             Err(_) => std::thread::sleep(shared.cfg.idle_poll),
         }
         reap_finished(shared);
-    }
+    };
     // Connections still in the backlog were accepted by the kernel and
     // may already carry a request; closing the listener would reset them.
     // Their handlers start draining at once: they serve what was sent and
-    // say GoingAway.
+    // say GoingAway. Only the wake-up connection is dropped.
+    let waker = *shared.waker.lock().unwrap_or_else(|e| e.into_inner());
+    let is_waker = |peer: Option<SocketAddr>| peer.is_some() && waker == Some(peer);
     let deadline = Instant::now() + shared.cfg.drain_deadline;
-    while Instant::now() < deadline {
-        match listener.try_accept() {
-            Ok(Some(stream)) => admit(shared, stream),
-            Ok(None) | Err(_) => break,
+    // A drain that could block might never end: without a nonblocking
+    // listener, serve only what was already accepted.
+    let drain = listener.stop_blocking().is_ok();
+    let mut next = first;
+    while let Some((stream, peer)) = next {
+        if !is_waker(peer) {
+            admit(shared, stream);
         }
+        next = if drain && Instant::now() < deadline {
+            listener.try_accept().ok().flatten()
+        } else {
+            None
+        };
     }
 }
 

@@ -5,7 +5,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use adapt_pnc::models::PrintedModel;
@@ -287,12 +287,15 @@ fn drain_finishes_inflight_work_and_says_going_away() {
 #[test]
 fn drain_serves_connections_still_in_the_accept_backlog() {
     let server = start_server("drain-backlog", BatchConfig::default());
+    // After each admission the accept loop meets this barrier twice: once
+    // to say it admitted, once for the go-ahead. In between it accepts
+    // nothing, so a connection made then waits in the backlog.
+    let pause = Arc::new(Barrier::new(2));
     let wire = WireServer::bind(
         Arc::clone(&server),
         &Endpoint::Tcp("127.0.0.1:0".parse().unwrap()),
         WireServerConfig {
-            // The accept loop sleeps this long whenever it finds no one.
-            idle_poll: Duration::from_millis(300),
+            accept_pause: Some(Arc::clone(&pause)),
             ..WireServerConfig::default()
         },
     )
@@ -300,16 +303,14 @@ fn drain_serves_connections_still_in_the_accept_backlog() {
     let Endpoint::Tcp(addr) = wire.endpoint().clone() else {
         unreachable!()
     };
-    // Once the first connection is admitted, the accept loop finds the
-    // backlog empty and sleeps, so the second one (request already sent)
-    // waits in the backlog when the drain begins.
+    // The first connection is admitted and the accept loop parks, so the
+    // second one (request already sent) is still in the backlog when the
+    // drain begins, and only then is the loop let go.
     let mut first = TcpStream::connect(addr).unwrap();
     first
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    while wire.live_connections() != 1 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    pause.wait();
     let window = steps(5, 0.4);
     let mut second = TcpStream::connect(addr).unwrap();
     second
@@ -321,6 +322,7 @@ fn drain_serves_connections_still_in_the_accept_backlog() {
     };
     second.write_all(&encode_request(&request, 4)).unwrap();
     wire.begin_shutdown();
+    pause.wait();
 
     let (ftype, id, payload) = read_raw_frame(&mut second)
         .expect("a connection the kernel accepted must be served across a drain");

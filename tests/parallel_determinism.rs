@@ -28,35 +28,59 @@ fn variation_aware_training_is_identical_across_thread_counts_and_tapes() {
 
     let reference = train_with_runner(
         &split,
-        &base.clone().train_fused(true).build(),
+        &base.clone().train_path(TrainPath::FusedTape).build(),
         0,
         &ParallelRunner::serial(),
     );
-    for fused in [true, false] {
-        let cfg = base.clone().train_fused(fused).build();
+    for path in [TrainPath::FusedTape, TrainPath::UnfusedTape] {
+        let cfg = base.clone().train_path(path).build();
         for threads in [1, 2, 5] {
-            if fused && threads == 1 {
+            if path == TrainPath::FusedTape && threads == 1 {
                 continue; // the reference itself
             }
             let runner = ParallelRunner::serial().with_threads(threads);
             let run = train_with_runner(&split, &cfg, 0, &runner);
             assert_eq!(
                 reference.report, run.report,
-                "training report diverged at {threads} threads, fused={fused}"
+                "training report diverged at {threads} threads, {path:?}"
             );
-            for (a, b) in reference
-                .model
-                .parameters()
-                .iter()
-                .zip(run.model.parameters())
-            {
-                assert_eq!(
-                    a.to_vec(),
-                    b.to_vec(),
-                    "trained parameters diverged at {threads} threads, fused={fused}"
-                );
-            }
+            assert_same_parameters(&reference, &run, &format!("{threads} threads, {path:?}"));
         }
+    }
+}
+
+/// The compiled path (the presets' default) keeps the same contract on its
+/// own: each Monte-Carlo sample is one runner item with its own compiled
+/// instance and RNG stream, averaged in sample order, so 1, 2 and 5
+/// threads train bit for bit alike.
+#[test]
+fn compiled_training_is_identical_across_thread_counts() {
+    let split = quick_split("GPOVY");
+    let cfg = TrainConfig::adapt_pnc(4)
+        .to_builder()
+        .max_epochs(8)
+        .mc_samples(3)
+        .build();
+    assert_eq!(cfg.train_path, TrainPath::Compiled);
+    let reference = train_with_runner(&split, &cfg, 0, &ParallelRunner::serial());
+    for threads in [2, 5] {
+        let runner = ParallelRunner::serial().with_threads(threads);
+        let run = train_with_runner(&split, &cfg, 0, &runner);
+        assert_eq!(
+            reference.report, run.report,
+            "compiled training report diverged at {threads} threads"
+        );
+        assert_same_parameters(&reference, &run, &format!("compiled, {threads} threads"));
+    }
+}
+
+fn assert_same_parameters(a: &TrainedModel, b: &TrainedModel, what: &str) {
+    for (p, q) in a.model.parameters().iter().zip(b.model.parameters()) {
+        assert_eq!(
+            p.to_vec(),
+            q.to_vec(),
+            "trained parameters diverged at {what}"
+        );
     }
 }
 
